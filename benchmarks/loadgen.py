@@ -354,8 +354,8 @@ def run_topology(
 
 
 def run_comparison(config: LoadgenConfig) -> dict:
-    """Both topologies over the identical pool; the BENCH ``stages.router``
-    payload."""
+    """Both topologies over the identical pool: throughput, latency and
+    check-project fingerprints per topology."""
     recipes = build_projects(config)
     check = build_check_project(config)
     single = run_topology("single", config, recipes, check=check)

@@ -5,9 +5,9 @@ every module really runs) and the warm-cache path (everything hits).
 Each round gets a freshly-parsed project so per-project caches (VFGs,
 contributions, resolvers) cannot leak timing between rounds.
 
-Absolute speedups are hardware-dependent: thread/process fan-out only
-wins on multicore hosts (the process pool adds fork + pickle overhead on
-a single core).  ``run_bench.py`` records whatever the host delivers.
+Absolute speedups are hardware-dependent: process fan-out only wins on
+multicore hosts (the process pool adds fork + pickle overhead on a
+single core).
 """
 
 import pytest
@@ -47,10 +47,6 @@ def test_engine_serial_speed(benchmark, engine_app):
     _bench_executor(benchmark, engine_app, "serial")
 
 
-def test_engine_thread_speed(benchmark, engine_app):
-    _bench_executor(benchmark, engine_app, "thread")
-
-
 def test_engine_process_speed(benchmark, engine_app):
     _bench_executor(benchmark, engine_app, "process")
 
@@ -72,11 +68,9 @@ def test_module_cache_warm_speed(benchmark, engine_app):
 def test_engine_solver_speed(benchmark):
     """The interned-bitset Andersen solver over the stress corpus.
 
-    This is the pytest-benchmark twin of ``stages.solver`` in
-    ``run_bench.py``: same corpus shape (copy chains, cycles, derefs,
-    function-pointer fans), scaled down so rounds stay fast.  The solver
-    must converge on every module — an unconverged run would make the
-    timing meaningless.
+    The stress corpus has copy chains, cycles, derefs and function-pointer
+    fans, scaled down so rounds stay fast.  The solver must converge on
+    every module — an unconverged run would make the timing meaningless.
     """
     from repro.corpus.solver_stress import stress_modules
     from repro.pointer.andersen import analyze_module

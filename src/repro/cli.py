@@ -68,6 +68,7 @@ from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus.generator import generate_app
 from repro.corpus.profiles import PROFILES
+from repro.engine.executors import EXECUTOR_KINDS, positive_int
 from repro.rules import UnknownRuleError, normalize_rules
 from repro.vcs.repository import Repository
 
@@ -923,15 +924,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--top", type=int, default=20, help="findings to print")
     analyze.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_KINDS,
         default="serial",
         help="how per-module analysis is scheduled (default: serial)",
     )
     analyze.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
-        help="worker count for thread/process executors (default: all cores)",
+        help="worker count for the process executor (default: all cores)",
     )
     analyze.add_argument(
         "--no-module-cache",
@@ -991,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_KINDS,
         default="serial",
         help="how per-module analysis is scheduled (default: serial)",
     )
@@ -1109,7 +1110,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve one request stream over stdin/stdout instead of TCP",
     )
-    serve.add_argument("--workers", type=int, default=2, help="request worker threads")
+    serve.add_argument(
+        "--workers", type=positive_int, default=2, help="request worker threads"
+    )
     serve.add_argument(
         "--queue-capacity",
         type=int,
@@ -1133,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_KINDS,
         default="serial",
         help="engine executor used inside each request",
     )
@@ -1181,10 +1184,13 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--host", default="127.0.0.1")
     route.add_argument("--port", type=int, default=7432, help="TCP port (0 = pick free)")
     route.add_argument(
-        "--workers", type=int, default=4, help="worker processes in the pool"
+        "--workers", type=positive_int, default=4, help="worker processes in the pool"
     )
     route.add_argument(
-        "--worker-threads", type=int, default=2, help="request threads per worker"
+        "--worker-threads",
+        type=positive_int,
+        default=2,
+        help="request threads per worker",
     )
     route.add_argument(
         "--queue-capacity", type=int, default=16, help="request queue depth per worker"
@@ -1196,7 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--max-session-loc", type=int, default=None)
     route.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_KINDS,
         default="serial",
         help="engine executor inside each worker",
     )

@@ -31,7 +31,7 @@ class ValueCheckConfig:
     ``dok_weights`` supports the per-factor ablations.
 
     ``executor``/``workers`` select how per-module analysis is scheduled
-    (``serial`` | ``thread`` | ``process``); ``module_cache`` toggles the
+    (``serial`` | ``process``); ``module_cache`` toggles the
     content-addressed result cache.  Findings are bit-identical across
     executors — the engine merges deterministically.
     """
@@ -49,7 +49,7 @@ class ValueCheckConfig:
     history_pruning: bool = False
     familiarity_model: str = "dok"  # 'dok' | 'ea'
     # Engine selection (parallel scheduling + content-addressed caching).
-    executor: str = "serial"  # 'serial' | 'thread' | 'process'
+    executor: str = "serial"  # 'serial' | 'process'
     workers: int | None = None  # None → os.cpu_count()
     module_cache: bool = True
     # Enabled rule packs (see repro.rules); None = every registered pack.

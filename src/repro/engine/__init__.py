@@ -2,7 +2,7 @@
 
 Layers (see docs/PERFORMANCE.md):
 
-* :mod:`repro.engine.executors` — pluggable ``serial``/``thread``/``process``
+* :mod:`repro.engine.executors` — pluggable ``serial``/``process``
   fan-out with order-preserving ``map``;
 * :mod:`repro.engine.cache` — content-addressed module result cache;
 * :mod:`repro.engine.scheduler` — the :class:`AnalysisEngine` that probes
@@ -21,7 +21,6 @@ from repro.engine.executors import (
     EXECUTOR_KINDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     default_workers,
     make_executor,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ProcessExecutor",
     "ResultCache",
     "SerialExecutor",
-    "ThreadExecutor",
     "analyze_job",
     "analyze_lowered",
     "default_workers",

@@ -7,7 +7,7 @@ solver convergence — by:
 1. probing the content-addressed :class:`ResultCache` for each module
    (key: path + source text + build config, see :mod:`repro.engine.cache`),
 2. fanning the misses across the configured executor
-   (``serial`` | ``thread`` | ``process``), and
+   (``serial`` | ``process``), and
 3. merging results **in sorted path order**, so the output is bit-identical
    to a sequential run no matter how many workers raced.
 

@@ -11,7 +11,7 @@ Telemetry: each worker records into a **module-local**
 :class:`~repro.obs.MetricsRegistry` and ships the snapshot back inside
 the :class:`ModuleResult` (a plain dict, so it pickles).  The scheduler
 merges those snapshots in sorted path order, which is what makes the
-merged registry identical across serial/thread/process executors.
+merged registry identical across the serial and process executors.
 Spans, by contrast, only reach the ambient tracer from in-process
 workers — a process pool cannot share a tracer, so its stage costs
 travel exclusively through the metrics snapshots.
@@ -65,7 +65,7 @@ def analyze_lowered(
     vfg: ValueFlowGraph | None = None,
     rules: tuple[str, ...] | None = None,
 ) -> ModuleResult:
-    """Analyse an already-lowered module (serial/thread executors)."""
+    """Analyse an already-lowered module in-process (serial executor)."""
     # Imported lazily: repro.rules pulls in repro.core, whose package
     # import reaches back here through the engine facade.
     from repro.rules.registry import resolve_rules

@@ -16,7 +16,13 @@ that ValueCheck's store-shaped candidates are exactly the dead stores a
 compiler would remove — the paper's point that the same facts serve two
 masters.  Calls are never removed (side effects), which is also why "the
 compiler already deletes it" does not make an ignored return value
-harmless."""
+harmless.
+
+**Test oracle.**  No production code runs this pass.  Together with
+:mod:`repro.ir.interp` it checks the liveness facts the detector
+consumes: ``test_dce_preserves_semantics`` (``tests/ir/test_interp.py``)
+deletes everything those facts call dead and requires the interpreter to
+compute the same results on random programs."""
 
 from __future__ import annotations
 

@@ -12,6 +12,10 @@ of scalar locals, control flow including loops/switch/goto.  External
 callees are stubbed deterministically (a pure function of callee name
 and arguments) so results are reproducible.  Unsupported constructs
 raise :class:`InterpError`; runaway loops raise :class:`InterpTimeout`.
+
+**Test oracle.**  No production code runs the interpreter.  It is how
+``test_dce_preserves_semantics`` (``tests/ir/test_interp.py``) checks
+the liveness facts the detector uses, via :mod:`repro.ir.dce`.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ from typing import Iterable, Iterator, Mapping
 from repro.obs.clock import monotonic
 
 # Bump whenever a metric is renamed/removed or its meaning changes:
-# BENCH_<n>.json trajectory files carry this so cross-PR comparisons
-# know when the schema drifted (see benchmarks/check_bench_schema.py).
+# metric snapshots and the ``--stats-out`` JSONL run records carry this so
+# readers know when the schema drifted.
 METRICS_SCHEMA_VERSION = 1
 
 

@@ -19,8 +19,8 @@ story of one candidate through the pipeline:
 Identity rules match the metrics registry: a record is keyed by the
 candidate's stable ``key`` (``file:function:var:line:kind``), worker
 detection slices merge in sorted path order, and serialisation sorts by
-key — so the JSONL export is byte-identical across the serial, thread
-and process executors.  Detection slices are plain dicts stored inside
+key — so the JSONL export is byte-identical across the serial and
+process executors.  Detection slices are plain dicts stored inside
 ``ModuleResult`` so content-cache hits replay them deterministically.
 
 Everything here duck-types over candidates/findings (no repro.core

@@ -3,16 +3,10 @@
 This is the pre-interning solver retained verbatim as the semantic
 oracle for :mod:`repro.pointer.andersen`.  Nodes are strings, points-to
 sets are Python ``set`` objects, and the worklist propagates per-element
-deltas — no node interning, no bitsets, no cycle collapsing.  It exists
-for two jobs:
-
-* the differential property test
-  (``tests/pointer/test_solver_equivalence.py``) solves randomized
-  modules with both solvers and requires identical fixpoints;
-* the ``stages.solver`` benchmark (``benchmarks/run_bench.py``) measures
-  the production solver's speedup against this one, and
-  ``check_bench_trajectory.py`` fails the build if that speedup claim
-  disappears.
+deltas — no node interning, no bitsets, no cycle collapsing.  It is a
+test oracle with no production caller: the differential property test
+(``tests/pointer/test_solver_equivalence.py``) solves randomized modules
+with both solvers and requires identical fixpoints.
 
 Keep this module boring.  Performance work belongs in
 :mod:`repro.pointer.andersen`; the only changes that belong here are

@@ -36,7 +36,7 @@ from typing import Any, Callable
 from repro import obs
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheckConfig
-from repro.engine import DEFAULT_CACHE
+from repro.engine import DEFAULT_CACHE, EXECUTOR_KINDS
 from repro.obs import (
     DEFAULT_SLOS,
     EventJournal,
@@ -86,6 +86,12 @@ class ServiceConfig:
     slos: tuple[SloConfig, ...] = DEFAULT_SLOS
     profiler: bool = True  # always-on sampling profiler
     profile_interval: float = 0.01  # sampler tick, seconds
+
+    def __post_init__(self) -> None:
+        # With no worker thread the daemon answers only the inline
+        # control plane and every queued request times out.
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
 
 
 @dataclass
@@ -510,11 +516,31 @@ class AnalysisService:
         options = params.get("options", {})
         if not isinstance(options, dict):
             raise ProtocolError("invalid_params", "'options' must be an object")
+        executor = options.get("executor", self.config.executor)
+        if executor not in EXECUTOR_KINDS:
+            raise ProtocolError(
+                "invalid_params",
+                f"'executor' must be one of {', '.join(EXECUTOR_KINDS)}; got {executor!r}",
+            )
+        workers = options.get("workers", self.config.engine_workers)
+        if workers is not None and (
+            not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+        ):
+            raise ProtocolError(
+                "invalid_params",
+                f"'workers' must be an integer of at least 1; got {workers!r}",
+            )
+        for flag in ("use_authorship", "module_cache"):
+            if not isinstance(options.get(flag, True), bool):
+                raise ProtocolError(
+                    "invalid_params",
+                    f"'{flag}' must be true or false; got {options[flag]!r}",
+                )
         return ValueCheckConfig(
-            use_authorship=bool(options.get("use_authorship", True)),
-            executor=options.get("executor", self.config.executor),
-            workers=options.get("workers", self.config.engine_workers),
-            module_cache=bool(options.get("module_cache", True)),
+            use_authorship=options.get("use_authorship", True),
+            executor=executor,
+            workers=workers,
+            module_cache=options.get("module_cache", True),
             rules=self._session_rules(params, options),
         )
 

@@ -118,6 +118,14 @@ class RouterConfig:
     history_capacity: int = 240  # time-series samples retained per source
     slos: tuple[SloConfig, ...] = DEFAULT_SLOS  # over forwarded requests
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        if self.spec.threads < 1:
+            raise ValueError(
+                f"worker threads must be at least 1, got {self.spec.threads!r}"
+            )
+
 
 @dataclass
 class _Placement:

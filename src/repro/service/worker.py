@@ -20,6 +20,7 @@ import json
 import os
 import sys
 
+from repro.engine.executors import EXECUTOR_KINDS, positive_int
 from repro.service.core import AnalysisService, ServiceConfig
 from repro.service.server import ServiceServer, install_signal_handlers
 
@@ -31,12 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    parser.add_argument("--workers", type=int, default=2, help="request threads")
+    parser.add_argument(
+        "--workers", type=positive_int, default=2, help="request threads"
+    )
     parser.add_argument("--queue-capacity", type=int, default=16)
     parser.add_argument("--request-timeout", type=float, default=120.0)
     parser.add_argument("--max-sessions", type=int, default=8)
     parser.add_argument("--max-session-loc", type=int, default=None)
-    parser.add_argument("--executor", default="serial")
+    parser.add_argument("--executor", choices=EXECUTOR_KINDS, default="serial")
     parser.add_argument("--profiler", action="store_true", default=False)
     return parser
 

@@ -11,8 +11,15 @@ graphs on top of SSA form.  This package reproduces that layer:
   or phi) it observes.
 
 The sparse value-flow graph in :mod:`repro.pointer.sparse_vfg` consumes
-this to give the detector exact def→use edges (equivalent to, and
-cross-checked against, the reaching-definitions chains)."""
+this to give exact def→use edges.
+
+**Test oracle.**  The production pipeline does not use this package.  It
+and :mod:`repro.pointer.sparse_vfg` are kept as the independent check on
+the reaching-definitions facts production answers "is this definition
+used?" from (``ValueFlowGraph.definition_used``): the property test
+``test_sparse_agrees_with_reaching_definitions`` in
+``tests/ssa/test_construction.py`` requires the two to agree on random
+programs."""
 
 from repro.ssa.dominators import DominatorTree, compute_dominators, dominance_frontiers
 from repro.ssa.construction import SsaForm, build_ssa, PhiNode, SsaDef

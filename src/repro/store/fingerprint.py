@@ -33,8 +33,8 @@ predecessor, so the store reports it as *persistent* (SARIF
 ``baselineState: updated``) instead of a fixed+new pair.
 
 Fingerprints are computed post-merge from the final finding list plus
-the project sources, so they are deterministic across the serial,
-thread and process executors and across content-cache replays.
+the project sources, so they are deterministic across the serial
+and process executors and across content-cache replays.
 """
 
 from __future__ import annotations

@@ -171,9 +171,6 @@ class TestExecutorDeterminism:
         report = ValueCheck(config).analyze(project)
         return report.explain_jsonl()
 
-    def test_thread_matches_serial_byte_for_byte(self):
-        assert self._jsonl("thread") == self._jsonl("serial")
-
     def test_process_matches_serial_byte_for_byte(self):
         assert self._jsonl("process") == self._jsonl("serial")
 

@@ -9,7 +9,13 @@ from repro.core.incremental import IncrementalAnalyzer
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus.generator import generate_app
-from repro.engine import DEFAULT_CACHE, AnalysisEngine, ResultCache, make_executor
+from repro.engine import (
+    DEFAULT_CACHE,
+    EXECUTOR_KINDS,
+    AnalysisEngine,
+    ResultCache,
+    make_executor,
+)
 from repro.pointer.andersen import analyze_module
 
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
@@ -46,7 +52,7 @@ def finding_rows(report):
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", EXECUTOR_KINDS)
     def test_identical_findings_on_corpus_app(self, corpus_app, executor):
         baseline = ValueCheck(
             ValueCheckConfig(executor="serial", module_cache=False)
@@ -60,9 +66,17 @@ class TestExecutorEquivalence:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             make_executor("rayon")
+        with pytest.raises(ValueError, match="unknown executor 'thread'"):
+            make_executor("thread")
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, kind, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            make_executor(kind, workers=workers)
 
     def test_executors_preserve_input_order(self):
-        for kind in ("serial", "thread", "process"):
+        for kind in EXECUTOR_KINDS:
             executor = make_executor(kind, workers=4)
             assert executor.map(_double, list(range(20))) == [2 * n for n in range(20)]
 

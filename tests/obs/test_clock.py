@@ -2,7 +2,7 @@
 
 Durations across the tree — ``IncrementalResult.seconds``, span times,
 metric histograms, stage timings — must come from one monotonic clock so
-daemon uptimes and BENCH trajectories never go backwards under NTP
+daemon uptimes and benchmark timings never go backwards under NTP
 slews.  These tests pin the clock's properties and grep the source tree
 so a stray ``time.time()`` (or ad-hoc ``time.perf_counter()``) cannot
 sneak back into a timing path.
@@ -34,8 +34,8 @@ TIMED_MODULES = (
 
 class TestClockSource:
     def test_monotonic_is_perf_counter(self):
-        # perf_counter is the repo's historical clock; staying on it keeps
-        # BENCH_<n>.json trajectories comparable across PRs.
+        # perf_counter is the repo's historical clock and the one the
+        # benchmark (perfbench) times with, so the two stay comparable.
         assert clock.monotonic is time.perf_counter
 
     def test_monotonic_never_goes_backwards(self):

@@ -97,10 +97,7 @@ class TestExecutorMetricDeterminism:
         assert report.engine_stats.executor == executor
         return deterministic_view(report.metrics)
 
-    def test_thread_and_process_identical(self):
-        assert self._view("thread") == self._view("process")
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_content_metrics_match_serial(self, executor):
         serial, parallel = self._view("serial"), self._view(executor)
         # The workers gauge legitimately differs; every content metric

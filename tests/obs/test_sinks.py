@@ -119,9 +119,6 @@ class TestPrometheusExecutorStability:
             line for line in text.splitlines() if "_total" in line and "seconds" not in line
         )
 
-    def test_thread_matches_serial(self):
-        assert self._counter_lines("thread") == self._counter_lines("serial")
-
     def test_process_matches_serial(self):
         assert self._counter_lines("process") == self._counter_lines("serial")
 
@@ -129,7 +126,7 @@ class TestPrometheusExecutorStability:
 class TestSummaryTable:
     RECORD = {
         "project": "openssl",
-        "executor": "thread",
+        "executor": "process",
         "seconds": 1.234,
         "converged": True,
         "counts": {"candidates": 10, "cross_scope": 6, "pruned": 4, "reported": 2},
@@ -140,7 +137,7 @@ class TestSummaryTable:
     def test_renders_stages_and_kills(self):
         table = render_stats_table([self.RECORD])
         assert "project=openssl" in table
-        assert "executor=thread" in table
+        assert "executor=process" in table
         assert "parse" in table and "rank" in table and "custom_stage" in table
         assert "cursor" in table and "   3" in table
 

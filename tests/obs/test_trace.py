@@ -119,6 +119,14 @@ class TestAmbientContext:
         assert inner.tracer.span_names() == {"s"}
         assert outer.tracer.span_names() == set()
 
+    def test_ambient_telemetry_is_per_thread(self):
+        seen = []
+        with obs.use(Telemetry.fresh()):
+            thread = threading.Thread(target=lambda: seen.append(obs.current()))
+            thread.start()
+            thread.join()
+        assert seen == [None]
+
     def test_disabled_ambient_tracer_noops(self):
         telemetry = Telemetry.fresh(trace=False)
         with obs.use(telemetry):

@@ -2,10 +2,11 @@
 
 Runs benchmarks/loadgen.py's full comparison pipeline at a deliberately
 tiny configuration — real worker processes, real TCP, real mixed
-traffic — asserting the machinery works and the payload carries every
-field the BENCH schema-8 validator requires.  Throughput numbers at
-this size are noise, so the ≥2× floor is *not* asserted here; that gate
-runs against the real BENCH_<n>.json in check_bench_trajectory.py.
+traffic — asserting every request completes and that a check project's
+finding fingerprints are identical on the single daemon and behind the
+router.  Throughput numbers at this size are noise and are not asserted;
+the routed topology's speed is gated by perfbench's ``routed_churn``
+workload.
 """
 
 import sys
@@ -16,10 +17,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from check_bench_schema import (  # noqa: E402
-    ROUTER_FIELDS,
-    ROUTER_TOPOLOGY_FIELDS,
-)
 from loadgen import (  # noqa: E402
     LoadgenConfig,
     build_check_project,
@@ -70,13 +67,6 @@ class TestComparisonSmoke:
     @pytest.fixture(scope="class")
     def payload(self):
         return run_comparison(SMOKE)
-
-    def test_carries_every_schema8_field(self, payload):
-        for name in ROUTER_FIELDS:
-            assert name in payload, f"missing {name}"
-        for topology in ("single", "routed"):
-            for name in ROUTER_TOPOLOGY_FIELDS:
-                assert name in payload[topology], f"missing {topology}.{name}"
 
     def test_all_requests_complete(self, payload):
         expected = SMOKE.clients * SMOKE.requests_per_client

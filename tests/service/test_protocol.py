@@ -9,7 +9,9 @@ from repro.service import (
     REQUEST_TYPES,
     AnalysisService,
     ProtocolError,
+    RouterConfig,
     ServiceConfig,
+    WorkerSpec,
     decode_request,
     encode,
     error_response,
@@ -182,3 +184,57 @@ class TestParamValidation:
         response = service.submit({"id": 2, "type": "analyze", "params": {}})
         assert response["error"]["code"] == "internal"
         assert "kaboom" in response["error"]["message"]
+
+
+class TestOpenProjectOptions:
+    SOURCES = {"a.c": "int f(void)\n{\n    return 0;\n}\n"}
+
+    def _open(self, service, options):
+        return service.submit(
+            {
+                "id": 1,
+                "type": "open_project",
+                "params": {"sources": dict(self.SOURCES), "options": options},
+            }
+        )
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"executor": "bogus"}, "serial, process"),
+            ({"executor": "thread"}, "serial, process"),
+            ({"workers": "many"}, "'workers'"),
+            ({"workers": 0}, "'workers'"),
+            ({"workers": -1}, "'workers'"),
+            ({"workers": True}, "'workers'"),
+            ({"use_authorship": "false"}, "'use_authorship'"),
+            ({"module_cache": "false"}, "'module_cache'"),
+            ({"module_cache": 0}, "'module_cache'"),
+        ],
+    )
+    def test_bad_option_is_invalid_params(self, service, options, named):
+        response = self._open(service, options)
+        assert response["error"]["code"] == "invalid_params"
+        assert named in response["error"]["message"]
+
+    def test_valid_options_open(self, service):
+        response = self._open(
+            service,
+            {"executor": "process", "workers": 1, "use_authorship": False,
+             "module_cache": False},
+        )
+        assert response["ok"] is True
+
+
+class TestWorkerCounts:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_service_config_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            ServiceConfig(workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_router_config_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            RouterConfig(workers=workers)
+        with pytest.raises(ValueError, match="at least 1"):
+            RouterConfig(spec=WorkerSpec(threads=workers))

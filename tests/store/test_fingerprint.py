@@ -167,14 +167,14 @@ class TestDeterminism:
             {"t.c": SRC},
             config=ValueCheckConfig(use_authorship=False, executor="serial"),
         )
-        thread_project, thread_report = analyze(
+        process_project, process_report = analyze(
             {"t.c": SRC},
-            config=ValueCheckConfig(use_authorship=False, executor="thread"),
+            config=ValueCheckConfig(use_authorship=False, executor="process", workers=2),
         )
         assert fingerprint_findings(
             reported(serial_report), sources_of(serial_project)
         ) == fingerprint_findings(
-            reported(thread_report), sources_of(thread_project)
+            reported(process_report), sources_of(process_project)
         )
 
     def test_identical_across_cache_replays(self):

@@ -377,3 +377,33 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", ".", "--workers"],
+            ["serve", "--workers"],
+            ["route", "--workers"],
+            ["route", "--worker-threads"],
+        ],
+    )
+    @pytest.mark.parametrize("count", ["0", "-1", "many"])
+    def test_worker_counts_must_be_positive(self, argv, count, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [count])
+        assert excinfo.value.code == 2
+        assert "--worker" in capsys.readouterr().err
+
+    def test_thread_executor_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", ".", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "'serial', 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_service_worker_rejects_non_positive_workers(self, count):
+        from repro.service.worker import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--workers", count])
+        assert excinfo.value.code == 2
