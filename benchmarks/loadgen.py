@@ -66,6 +66,10 @@ DEFAULT_MIX = (
     ("explain", 0.10),
 )
 
+#: Re-opens one request may need: under contention another client's
+#: re-open can evict the session again before the request lands.
+REOPEN_ATTEMPTS = 5
+
 
 @dataclass(frozen=True)
 class LoadgenConfig:
@@ -202,15 +206,9 @@ def _client_loop(
                     # The daemon evicted this session: the protocol's
                     # contract is "send open_project again" — the replay
                     # cost belongs to this request's latency.
-                    try:
-                        client.request(
-                            "open_project", recipe.open_params, retries=10
-                        )
-                        client.request(op, params, retries=10)
+                    ok = _reopen_and_retry(client, recipe, op, params)
+                    if ok:
                         result.reopens += 1
-                        ok = True
-                    except (ServiceError, ConnectionError, OSError):
-                        pass
             except (ConnectionError, OSError):
                 pass
             result.ops.append((op, monotonic() - started, ok))
@@ -223,6 +221,22 @@ def _client_loop(
             client.close()
         except OSError:  # pragma: no cover
             pass
+
+
+def _reopen_and_retry(client: ServiceClient, recipe: ProjectRecipe, op: str, params: dict) -> bool:
+    """Re-open the evicted session and re-send the request, again while
+    the session keeps being evicted; True once the request succeeds."""
+    for _ in range(REOPEN_ATTEMPTS):
+        try:
+            client.request("open_project", recipe.open_params, retries=10)
+            client.request(op, params, retries=10)
+            return True
+        except ServiceError as error:
+            if error.code != "unknown_project":
+                return False
+        except (ConnectionError, OSError):
+            return False
+    return False
 
 
 def _percentile(values: list[float], fraction: float) -> float:

@@ -14,7 +14,7 @@ Typical usage::
 """
 
 from repro.frontend.source import SourceFile, Span
-from repro.frontend.lexer import Lexer, Token, TokenKind, tokenize
+from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.preprocessor import CondRegion, PreprocessedSource, preprocess
 from repro.frontend.parser import Parser, parse_source
 from repro.frontend import ast_nodes as ast
@@ -22,7 +22,6 @@ from repro.frontend import ast_nodes as ast
 __all__ = [
     "SourceFile",
     "Span",
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

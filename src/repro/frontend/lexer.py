@@ -1,15 +1,29 @@
-"""Hand-written lexer for the MiniC dialect.
+"""Regex lexer for the MiniC dialect.
 
-Produces a flat token stream with line/column information.  Comments are
-skipped but the raw source is retained by callers (several pruning
-strategies in :mod:`repro.core.pruning` match against raw source text,
-e.g. ``/* unused */`` markers).
+Produces a flat, EOF-terminated token stream with line/column information.
+Comments are skipped but the raw source is retained by callers (several
+pruning strategies in :mod:`repro.core.pruning` match against raw source
+text, e.g. ``/* unused */`` markers).
+
+One compiled pattern does all the per-character work; :func:`tokenize`
+walks its matches (:data:`_SCANNER`).  Each match consumes the trivia
+(whitespace and comments) before a token, then at most one token, whose
+capture group names its kind.  The token group is optional, so the
+pattern matches at every offset and the engine never backtracks into
+trivia: a ``//`` comment is never re-read as ``/`` tokens.  A match with
+no token group is either the end of the text or a lexical error, which
+:func:`_raise_error` classifies off the hot path.
+
+Line and column come from counting newlines between token offsets, and
+only for a token that starts past the end of the previous token's line;
+no other position bookkeeping is done.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple, NoReturn
 
 from repro.errors import LexError
 
@@ -64,7 +78,7 @@ KEYWORDS = frozenset(
 )
 
 # Multi-character punctuators, longest first so maximal munch works.
-_PUNCTUATORS = [
+PUNCTUATORS = (
     "<<=",
     ">>=",
     "...",
@@ -111,11 +125,10 @@ _PUNCTUATORS = [
     "}",
     "[",
     "]",
-]
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexed token."""
 
     kind: TokenKind
@@ -133,148 +146,101 @@ class Token:
         return f"Token({self.kind.value}, {self.value!r}, L{self.line})"
 
 
-class Lexer:
-    """Tokenizes MiniC text; see :func:`tokenize` for the usual entry point."""
+def _literal(quote: str) -> str:
+    """An opening quote and the literal's body: any character but the
+    quote, a backslash or a newline, or a backslash followed by any
+    character (newline included)."""
+    body = rf"[^{quote}\\\n]"
+    return rf"{quote}{body}*(?:\\[\s\S]{body}*)*"
 
-    def __init__(self, text: str, filename: str = "<memory>"):
-        self.text = text
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    # -- character helpers -------------------------------------------------
+# A bare "/" must not start an unterminated "/*": that is a comment error.
+_PUNCT_PATTERN = "|".join("/(?!\\*)" if p == "/" else re.escape(p) for p in PUNCTUATORS)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
+_STRING = _literal('"') + '"'
+_CHAR = _literal("'") + "'"
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+_SCANNER = re.compile(
+    # trivia: whitespace, line comments, closed block comments
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+    r"(?:"
+    r"([A-Za-z_]\w*)"  # 1: identifier or keyword
+    rf"|({_PUNCT_PATTERN})"  # 2: punctuator
+    r"|(0[xX][0-9a-fA-F]*[uUlLfF]*|\d+(?:\.\d*)?[uUlLfF]*)"  # 3: number (suffix dropped by the parser)
+    rf"|({_STRING})"  # 4: string literal, quotes included
+    rf"|({_CHAR})"  # 5: char literal, quotes included
+    r"|([^\W\d]\w*)"  # 6: identifier with a non-ASCII first character
+    r")?"
+).finditer
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.filename, self.line, self.column)
+# Unterminated literals, by opening quote: the kind, and how far the body
+# reaches before EOF or a newline.
+_LITERAL_BODY = {
+    quote: (kind, re.compile(_literal(quote)).match)
+    for quote, kind in (('"', TokenKind.STRING), ("'", TokenKind.CHAR))
+}
 
-    # -- skipping ----------------------------------------------------------
+_KIND_OF_GROUP = (None, None, TokenKind.PUNCT, TokenKind.INT, TokenKind.STRING, TokenKind.CHAR)
+_new_token = tuple.__new__
 
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments (both ``//`` and ``/* */``)."""
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    self.line = start_line
-                    raise self._error("unterminated block comment")
-            else:
-                return
 
-    # -- token scanners ----------------------------------------------------
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset``; the column counts characters
+    since the last newline, so it is also defined at ``len(text)``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def _scan_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.text[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, column)
 
-    def _scan_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":  # float literal; normalised to INT kind
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # Integer suffixes are accepted and dropped.
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        return Token(TokenKind.INT, self.text[start : self.pos], line, column)
-
-    def _scan_quoted(self, quote: str, kind: TokenKind) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error(f"unterminated {kind.value} literal")
-            if ch == "\\":
-                chars.append(ch)
-                self._advance()
-                chars.append(self._peek())
-                self._advance()
-                continue
-            if ch == quote:
-                self._advance()
-                break
-            if ch == "\n":
-                raise self._error(f"newline in {kind.value} literal")
-            chars.append(ch)
-            self._advance()
-        return Token(kind, "".join(chars), line, column)
-
-    def _scan_punct(self) -> Token:
-        line, column = self.line, self.column
-        for punct in _PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # -- driver ------------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", self.line, self.column)
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._scan_identifier()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == '"':
-            return self._scan_quoted('"', TokenKind.STRING)
-        if ch == "'":
-            return self._scan_quoted("'", TokenKind.CHAR)
-        return self._scan_punct()
-
-    def all_tokens(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+def _raise_error(text: str, offset: int, filename: str) -> NoReturn:
+    """Raise the :class:`LexError` for the untokenizable text at ``offset``."""
+    line, column = _position(text, offset)
+    if text.startswith("/*", offset):
+        # Reported on the comment's first line, at the end-of-text column.
+        raise LexError("unterminated block comment", filename, line, _position(text, len(text))[1])
+    char = text[offset]
+    if char in _LITERAL_BODY:
+        kind, body = _LITERAL_BODY[char]
+        end = body(text, offset).end()
+        if end < len(text) and text[end] == "\n":
+            raise LexError(f"newline in {kind.value} literal", filename, *_position(text, end))
+        # The body stops at EOF, or at a backslash that is the last character.
+        raise LexError(f"unterminated {kind.value} literal", filename, *_position(text, len(text)))
+    raise LexError(f"unexpected character {char!r}", filename, line, column)
 
 
 def tokenize(text: str, filename: str = "<memory>") -> list[Token]:
     """Tokenize ``text`` and return the token list (EOF-terminated)."""
-    return Lexer(text, filename).all_tokens()
+    tokens: list[Token] = []
+    append = tokens.append
+    size = len(text)
+    line = 1
+    line_start = 0  # offset of the first character on ``line``
+    line_end = text.find("\n") % (size + 1)  # offset of the newline ending ``line``, or ``size``
+    for match in _SCANNER(text):
+        group = match.lastindex
+        if group is None:
+            break
+        start, end = match.span(group)
+        if start > line_end:
+            line += text.count("\n", line_end, start)
+            line_start = text.rfind("\n", line_end, start) + 1
+            line_end = text.find("\n", start) % (size + 1)
+        if group == 1:
+            value = text[start:end]
+            kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
+        elif group < 4:
+            value = text[start:end]
+            kind = _KIND_OF_GROUP[group]
+        elif group < 6:
+            value = text[start + 1 : end - 1]
+            kind = _KIND_OF_GROUP[group]
+        else:
+            if not text[start].isalpha():  # a numeric character such as "²" or "½"
+                _raise_error(text, start, filename)
+            value = text[start:end]
+            kind = TokenKind.IDENT
+        append(_new_token(Token, (kind, value, line, start - line_start + 1)))
+    offset = match.end()
+    if offset < size:
+        _raise_error(text, offset, filename)
+    append(_new_token(Token, (TokenKind.EOF, "", *_position(text, offset))))
+    return tokens

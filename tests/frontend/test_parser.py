@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.frontend import ast
 from repro.frontend.parser import parse_source
 
@@ -307,6 +307,43 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             parse("int f(void) {\n  a = ;\n}")
         assert excinfo.value.line == 2
+
+
+class TestNumericLiterals:
+    """Every INT token either has a value or is a ParseError at the literal."""
+
+    @pytest.mark.parametrize(
+        "src, column",
+        [
+            ("int f(void){ return 0x; }", 21),
+            ("int a[09];", 7),
+            ("int a[1.5];", 7),
+            ("int a[0x];", 7),
+        ],
+    )
+    def test_malformed_literal_is_a_parse_error_at_the_literal(self, src, column):
+        with pytest.raises(ParseError, match="malformed number") as excinfo:
+            parse(src)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize("src, column", [("int f(void){ return ²; }", 21), ("int a[²];", 7)])
+    def test_non_decimal_digit_is_a_lex_error(self, src, column):
+        # "²" passes str.isdigit() but is no decimal digit: the lexer rejects it.
+        with pytest.raises(LexError, match="unexpected character '²'") as excinfo:
+            parse(src)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("0xff", 255), ("0x1F", 31), ("0xFFu", 255), ("10UL", 10), ("1.5f", 1), ("09", 9), ("07", 7)],
+    )
+    def test_literal_values(self, literal, value):
+        (stmt,) = body_stmts(f"int f(void) {{ return {literal}; }}")
+        assert stmt.value == ast.IntLiteral(line=1, value=value, text=literal)
+
+    def test_hex_array_length_ending_in_f(self):
+        (var,) = parse("int a[0x1f];").globals
+        assert var.type.length == 31
 
 
 class TestPaperExamples:
