@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.ir.instructions import StoreKind
 
@@ -69,9 +70,10 @@ class Candidate:
     # *other* paths.  Empty for the unused-definition kinds.
     evidence_lines: tuple[int, ...] = ()
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable identifier used for dedup and ground-truth joins."""
+        """Stable identifier used for dedup and ground-truth joins (built
+        once: warm sessions look every candidate up by key per diff)."""
         return f"{self.file}:{self.function}:{self.var}:{self.line}:{self.kind.value}"
 
     def __str__(self) -> str:

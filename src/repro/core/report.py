@@ -43,8 +43,9 @@ class Report:
     # under-approximated.
     converged: bool = True
     # Per-candidate decision audit: detection site, cross-scope evidence,
-    # one verdict per consulted pruner, DOK breakdown and rank (None for
-    # hand-built or merged reports — ``explain`` then has nothing to say).
+    # one verdict per consulted pruner, DOK breakdown and rank.  Full
+    # analyses and warm ``analyze_diff`` splices both carry one; only
+    # hand-built reports have None (``explain`` then has nothing to say).
     provenance: "ProvenanceLog | None" = None
 
     # -- views ----------------------------------------------------------

@@ -8,9 +8,10 @@ the Table 6 experiment builds its "w/o Authorship", "w/o Familiarity" and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro import obs
-from repro.core.familiarity import DokModel, DokWeights
+from repro.core.familiarity import DokModel, DokWeights, EaModel
 from repro.core.findings import AuthorshipInfo, Candidate, Finding
 from repro.core.project import Project
 from repro.core.pruning import PruneContext, default_pipeline
@@ -67,9 +68,7 @@ def resolve_semantic(
     These carry their evidence in ``Candidate.evidence_lines``; authorship
     reuses the blame machinery directly — the definition author against
     the authors of the evidence sites — instead of the unused-definition
-    scenario dispatch in :class:`CrossScopeResolver`.  Shared by the full
-    pipeline and the incremental analyzer so warm ``analyze_diff`` steps
-    resolve identically to cold runs."""
+    scenario dispatch in :class:`CrossScopeResolver`."""
     if not candidates:
         return []
     blame = project.blame_index(rev) if project.repo is not None else None
@@ -106,6 +105,119 @@ def resolve_semantic(
     return findings
 
 
+def _without_authorship(
+    project: Project, candidates: list[Candidate], rev: int | str | None
+) -> list[Finding]:
+    """The ``use_authorship=False`` ablation: every candidate counts as
+    cross-scope; blame, when there is a repository, still names the
+    author the ranking scores."""
+    blame = project.blame_index(rev) if project.repo is not None else None
+    findings = []
+    for candidate in candidates:
+        info = blame.line_info(candidate.file, candidate.line) if blame is not None else None
+        author = info.author.name if info is not None else ""
+        authorship = AuthorshipInfo(
+            cross_scope=True,
+            def_author=author,
+            introducing_author=author,
+            blamed_file=candidate.file,
+            introduced_day=info.day if info is not None else -1,
+            reason="authorship filtering disabled",
+        )
+        findings.append(Finding(candidate=candidate, authorship=authorship))
+    return findings
+
+
+def _is_cross_scope(finding: Finding) -> bool:
+    return finding.authorship is not None and finding.authorship.cross_scope
+
+
+def decide(
+    project: Project,
+    candidates: list[Candidate],
+    config: ValueCheckConfig,
+    rev: int | str | None = None,
+    kept: Sequence[Finding] = (),
+    metrics: obs.MetricsRegistry | None = None,
+    provenance: obs.ProvenanceLog | None = None,
+) -> Report:
+    """The decision tail of every analysis: resolve → prune → rank.
+
+    ``candidates`` are resolved (authorship or its ablation; semantic
+    kinds by :func:`resolve_semantic`) and the cross-scope ones pruned.
+    ``kept`` are findings decided earlier whose inputs did not change (a
+    warm session's untouched functions); they must come in detection
+    order.  All are ranked together in cold order: cross-scope before
+    local, classic before semantic kinds, input order within each part.
+    ``provenance`` gets every decided finding's slices and status; of
+    the kept ones only the reported are restamped (only ranks move).
+    """
+    # Imported lazily: repro.rules pulls in repro.core, whose package
+    # import reaches back into this module.
+    from repro.rules.registry import resolve_rules, semantic_kinds
+
+    packs = resolve_rules(config.rules)
+    evidence_kinds = semantic_kinds(packs)
+    with obs.span("resolve"):
+        classic = [c for c in candidates if c.kind not in evidence_kinds]
+        semantic = [c for c in candidates if c.kind in evidence_kinds]
+        if config.use_authorship:
+            decided = project.resolver(rev).resolve_all(classic)
+        else:
+            decided = _without_authorship(project, classic, rev)
+        decided += resolve_semantic(project, semantic, rev)
+    if provenance is not None:
+        for finding in decided:
+            if finding.authorship is not None:
+                provenance.set_resolution(finding.key, finding.authorship.provenance())
+    cross = [finding for finding in decided if _is_cross_scope(finding)]
+    rest = [finding for finding in decided if not _is_cross_scope(finding)]
+    if metrics is not None:
+        metrics.inc("resolve.cross_scope", len(cross))
+        metrics.inc("resolve.local", len(rest))
+
+    pipeline = default_pipeline(
+        enable=set(config.pruners) if config.pruners is not None else None,
+        min_increments=config.cursor_min_increments,
+        peer_min_occurrences=config.peer_min_occurrences,
+        peer_unused_fraction=config.peer_unused_fraction,
+        include_history=config.history_pruning,
+    )
+    context = PruneContext(project=project, metrics=metrics, provenance=provenance)
+    with obs.span("prune"):
+        cross = pipeline.apply(cross, context, rules=tuple(pack.name for pack in packs))
+    findings = sorted(
+        [*kept, *cross, *rest],
+        key=lambda f: (not _is_cross_scope(f), f.candidate.kind in evidence_kinds),
+    )
+
+    model = None
+    if project.repo is not None and config.familiarity_model == "ea":
+        model = EaModel(project.repo)
+    elif project.repo is not None:
+        model = DokModel(project.repo, weights=config.dok_weights)
+    with obs.span("rank"):
+        findings = rank_findings(
+            findings,
+            model=model,
+            until_rev=rev,
+            use_familiarity=config.use_familiarity,
+            metrics=metrics,
+            provenance=provenance,
+        )
+    if provenance is not None:
+        fresh = {finding.key for finding in decided}
+        provenance.finalize(
+            [finding for finding in findings if finding.is_reported or finding.key in fresh]
+        )
+    return Report(
+        project=project.name,
+        findings=findings,
+        prune_stats=pipeline.stats(findings),
+        provenance=provenance,
+    )
+
+
 class ValueCheck:
     """Run the full pipeline over a project snapshot."""
 
@@ -123,42 +235,6 @@ class ValueCheck:
     def detect_candidates(self, project: Project) -> list[Candidate]:
         """Stage 1: raw unused definitions from every module."""
         return self._engine().run(project).candidates
-
-    def _resolve_semantic(
-        self, project: Project, candidates: list[Candidate], rev: int | str | None
-    ) -> list[Finding]:
-        return resolve_semantic(project, candidates, rev)
-
-    def _resolve_authorship(
-        self, project: Project, candidates: list[Candidate], rev: int | str | None
-    ) -> list[Finding]:
-        """Stage 2: cross-scope resolution (or its ablation)."""
-        if self.config.use_authorship:
-            return project.resolver(rev).resolve_all(candidates)
-        blame = project.blame_index(rev) if project.repo is not None else None
-        findings = []
-        for candidate in candidates:
-            author_name = ""
-            introduced_day = -1
-            if blame is not None:
-                info = blame.line_info(candidate.file, candidate.line)
-                if info is not None:
-                    author_name = info.author.name
-                    introduced_day = info.day
-            findings.append(
-                Finding(
-                    candidate=candidate,
-                    authorship=AuthorshipInfo(
-                        cross_scope=True,
-                        def_author=author_name,
-                        introducing_author=author_name,
-                        blamed_file=candidate.file,
-                        introduced_day=introduced_day,
-                        reason="authorship filtering disabled",
-                    ),
-                )
-            )
-        return findings
 
     def analyze(
         self,
@@ -186,74 +262,25 @@ class ValueCheck:
             engine_run: EngineRun = self._engine().run(
                 project, metrics=registry, provenance=provenance
             )
-            candidates = engine_run.candidates
-            registry.inc("detect.candidates", len(candidates))
-
-            # Imported lazily: repro.rules pulls in repro.core, whose
-            # package import reaches back into this module.
-            from repro.rules.registry import resolve_rules, semantic_kinds
-
-            packs = resolve_rules(self.config.rules)
-            evidence_kinds = semantic_kinds(packs)
-            with telemetry.tracer.span("resolve"):
-                classic = [c for c in candidates if c.kind not in evidence_kinds]
-                semantic = [c for c in candidates if c.kind in evidence_kinds]
-                findings = self._resolve_authorship(project, classic, rev)
-                findings += self._resolve_semantic(project, semantic, rev)
-            for finding in findings:
-                if finding.authorship is not None:
-                    provenance.set_resolution(finding.key, finding.authorship.provenance())
-            cross = [f for f in findings if f.authorship and f.authorship.cross_scope]
-            rest = [f for f in findings if not (f.authorship and f.authorship.cross_scope)]
-            registry.inc("resolve.cross_scope", len(cross))
-            registry.inc("resolve.local", len(rest))
-
-            pipeline = default_pipeline(
-                enable=set(self.config.pruners) if self.config.pruners is not None else None,
-                min_increments=self.config.cursor_min_increments,
-                peer_min_occurrences=self.config.peer_min_occurrences,
-                peer_unused_fraction=self.config.peer_unused_fraction,
-                include_history=self.config.history_pruning,
+            registry.inc("detect.candidates", len(engine_run.candidates))
+            report = decide(
+                project,
+                engine_run.candidates,
+                self.config,
+                rev,
+                metrics=registry,
+                provenance=provenance,
             )
-            context = PruneContext(project=project, metrics=registry, provenance=provenance)
-            with telemetry.tracer.span("prune"):
-                cross = pipeline.apply(
-                    cross, context, rules=tuple(pack.name for pack in packs)
-                )
-            prune_stats = pipeline.stats(cross)
-            findings = cross + rest
-
-            model = None
-            if project.repo is not None:
-                if self.config.familiarity_model == "ea":
-                    from repro.core.familiarity import EaModel
-
-                    model = EaModel(project.repo)
-                else:
-                    model = DokModel(project.repo, weights=self.config.dok_weights)
-            with telemetry.tracer.span("rank"):
-                findings = rank_findings(
-                    findings,
-                    model=model,
-                    until_rev=rev,
-                    use_familiarity=self.config.use_familiarity,
-                    metrics=registry,
-                    provenance=provenance,
-                )
-            provenance.finalize(findings)
         converged = not engine_run.stats.non_converged
         if not converged:
             registry.inc("andersen.non_converged_modules", len(engine_run.stats.non_converged))
         seconds = monotonic() - started
         registry.observe("analyze.run_seconds", seconds)
-        return Report(
-            project=project.name,
-            findings=findings,
-            prune_stats=prune_stats,
+        return replace(
+            report,
             seconds=seconds,
             engine_stats=engine_run.stats,
             metrics=registry.snapshot(),
             trace=telemetry.tracer,
             converged=converged,
-            provenance=provenance,
         )

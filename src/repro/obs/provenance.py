@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 #: Bump when the record shape below changes incompatibly; exported
 #: JSONL and BENCH ``stages.provenance`` sections carry it.
@@ -81,7 +81,7 @@ class PrunerVerdict:
         return {
             "pruner": self.pruner,
             "pruned": self.pruned,
-            "evidence": dict(self.evidence),
+            "evidence": self.evidence,
         }
 
 
@@ -99,16 +99,20 @@ class ProvenanceRecord:
     rank: int | None = None
 
     def as_dict(self) -> dict:
+        """The record as plain data.  The detection, resolution, evidence
+        and ranking slices are the record's own dicts, not copies: the log
+        only ever replaces them, and a warm session's explain snapshots
+        every record after each diff, so treat them as read-only."""
         return {
             "schema": PROVENANCE_SCHEMA_VERSION,
             "key": self.key,
             "status": self.status,
             "rank": self.rank,
             "pruned_by": self.pruned_by,
-            "detection": dict(self.detection),
-            "resolution": dict(self.resolution) if self.resolution is not None else None,
+            "detection": self.detection,
+            "resolution": self.resolution,
             "verdicts": [verdict.as_dict() for verdict in self.verdicts],
-            "ranking": dict(self.ranking) if self.ranking is not None else None,
+            "ranking": self.ranking,
         }
 
 
@@ -178,10 +182,20 @@ class ProvenanceLog:
                     record.status = "reported"
                 elif finding.pruned_by is not None:
                     record.status = "pruned"
-                elif record.resolution is not None and not record.resolution.get(
-                    "cross_scope", False
-                ):
-                    record.status = "not_cross_scope"
+
+    def splice(self, dropped: set[str], fresh: "ProvenanceLog") -> "ProvenanceLog":
+        """A new log: this log's records except ``dropped`` ones, then all
+        of ``fresh``'s.  Records are shared, not copied — except reported
+        ones, whose rank a re-ranking of the new log restamps."""
+        spliced = ProvenanceLog()
+        for log, skip in ((self, dropped), (fresh, ())):
+            with log._lock:
+                for key, record in log._records.items():
+                    if key not in skip:
+                        if record.status == "reported":
+                            record = replace(record)
+                        spliced._records[key] = record
+        return spliced
 
     # -- reading ---------------------------------------------------------
 
@@ -199,7 +213,8 @@ class ProvenanceLog:
         return [record for record in self.records() if fragment in record.key]
 
     def snapshot(self) -> list[dict]:
-        """Plain dicts, sorted by key — the JSONL/SARIF payload."""
+        """Plain dicts, sorted by key — the JSONL/SARIF payload (read-only:
+        see :meth:`ProvenanceRecord.as_dict`)."""
         return [record.as_dict() for record in self.records()]
 
     def to_jsonl(self) -> str:

@@ -3,10 +3,12 @@
 A :class:`ProjectSession` is the daemon's unit of warm state: a parsed
 :class:`~repro.core.project.Project`, the incremental analyzer bound to
 it (whose engine shares the process-wide content-addressed cache), and
-the findings of the last full analysis keyed by (file, function).  A
-warm ``analyze_diff`` re-analyses only the changed modules, splices the
-fresh findings over the stored ones and re-ranks — so the response is a
-*full* report at incremental cost.
+the session's current report.  A warm ``analyze_diff`` re-decides only
+the functions the change can affect, splices their findings and
+provenance records over the current report's, and re-ranks through the
+same decision tail a cold run uses — so the response is a *full* report,
+provenance included, at incremental cost, and ``explain`` answers from
+it without re-running anything.
 
 :class:`SessionManager` bounds the daemon's memory: least-recently-used
 sessions are evicted once the entry cap (``max_sessions``) or the
@@ -20,30 +22,17 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.findings import Finding
-from repro.core.incremental import IncrementalAnalyzer, IncrementalResult
+from repro.core.incremental import IncrementalAnalyzer, IncrementalResult, commit_changes
 from repro.core.project import Project
-from repro.core.ranking import rank_findings
 from repro.core.report import Report
-from repro.core.valuecheck import ValueCheck, ValueCheckConfig
+from repro.core.valuecheck import ValueCheck, ValueCheckConfig, decide
 from repro.obs import EventJournal, MetricsRegistry
 from repro.obs.clock import monotonic
 from repro.store import BaselineEntry, BaselineFile, FindingsStore, evaluate_gate
 from repro.store.fingerprint import project_sources
 from repro.vcs.objects import Commit
-
-FunctionKey = tuple[str, str]  # (file, function)
-
-
-def _group_by_function(findings: list[Finding]) -> dict[FunctionKey, list[Finding]]:
-    grouped: dict[FunctionKey, list[Finding]] = {}
-    for finding in findings:
-        key = (finding.candidate.file, finding.candidate.function)
-        grouped.setdefault(key, []).append(finding)
-    return grouped
-
 
 @dataclass
 class ProjectSession:
@@ -71,7 +60,6 @@ class ProjectSession:
     # analyze_diff, so `baseline`/`diff_findings`/`gate` requests are
     # answered from warm state without re-analysing.
     store: FindingsStore = field(default_factory=FindingsStore.in_memory)
-    _findings: dict[FunctionKey, list[Finding]] = field(default_factory=dict)
     _last_report: Report | None = None
     _pending_incrementals: list[IncrementalResult] = field(default_factory=list)
 
@@ -111,7 +99,6 @@ class ProjectSession:
             report = ValueCheck(self.config).analyze(
                 self.project, rev=self._rev_for_analysis()
             )
-            self._findings = _group_by_function(report.findings)
             self._last_report = report
             self._pending_incrementals.clear()
             self.analyze_count += 1
@@ -124,23 +111,21 @@ class ProjectSession:
         """Analyse a change set (or replay one commit) incrementally.
 
         Returns the raw :class:`IncrementalResult` (what was re-analysed,
-        engine cache stats) plus the merged full report: stored findings
-        for untouched functions, fresh findings for re-analysed ones,
-        everything re-ranked together.
+        engine cache stats) plus the merged full report: the current
+        report's findings and provenance for untouched functions, fresh
+        ones for re-analysed functions, everything re-ranked together.
+        A session with no report yet analyses fully first, so there is
+        something to splice over.
         """
+        if (changes is None) == (commit is None):
+            raise ValueError("analyze_diff takes exactly one of changes/commit")
+        self._current_report()
         with self.lock:
-            if (changes is None) == (commit is None):
-                raise ValueError("analyze_diff takes exactly one of changes/commit")
-            rev: int | str | None = None
             if commit is not None:
                 resolved = self._resolve_commit(commit)
-                changes = {
-                    path: resolved.snapshot.get(path)
-                    for path in resolved.touched
-                    if path.endswith(self.analyzer.suffixes)
-                }
+                changes = commit_changes(resolved)
                 label = resolved.commit_id
-                rev = resolved.commit_id
+                rev = self.project.repo.rev_index(label)
             else:
                 label = "edit"
                 # Uncommitted edits cannot be blamed: authorship for the
@@ -148,12 +133,12 @@ class ProjectSession:
                 # commits.  Sessions without a repo never resolve
                 # authorship anyway; sessions with one keep resolving at
                 # the current revision (documented approximation).
-                rev = self.analyzer.current_rev if self.project.repo else None
+                rev = self._rev_for_analysis()
             result = self.analyzer.analyze_changes(
                 changes, label=label, rev=rev, full_modules=True
             )
             if commit is not None:
-                self.analyzer.current_rev = self.project.repo.rev_index(rev)
+                self.analyzer.current_rev = rev
             merged = self._merge(result, rev)
             self._pending_incrementals.append(result)
             self.diff_count += 1
@@ -161,19 +146,11 @@ class ProjectSession:
             return result, merged
 
     def explain(self, finding: str | None = None) -> dict:
-        """Provenance of the last full analysis, from warm state.
-
-        Merged diff reports carry no provenance (their findings splice
-        two runs), so the session falls back to a fresh full analysis —
-        warm modules are content-cache hits, so the refresh is cheap.
-        """
-        report = self._last_report
-        if report is None or report.provenance is None:
-            report = self.analyze_full()
+        """Provenance of the current report (the last full analysis or
+        warm splice — both carry every candidate's record)."""
+        report = self._current_report()
         with self.lock:
             self.last_used = monotonic()
-            if report.provenance is None:
-                return {"project_id": self.project_id, "records": [], "rendered": ""}
             records = (
                 report.provenance.snapshot()
                 if finding is None
@@ -292,51 +269,37 @@ class ProjectSession:
             return repo.commits[next_rev]
         return repo.commits[repo.rev_index(commit)]
 
-    def _merge(self, result: IncrementalResult, rev: int | str | None) -> Report:
-        """Splice incremental findings over the stored full-report view."""
+    def _merge(self, result: IncrementalResult, rev: int | None) -> Report:
+        """Splice a warm step over the current report.
+
+        Findings and provenance records of every function the step did
+        not re-analyse are carried over (their inputs did not change, so
+        neither did their verdicts); re-analysed functions bring fresh
+        ones.  The decision tail then re-ranks the merged findings in
+        cold detection order and restamps the reported records.
+        """
+        previous = self._last_report
         changed_files = set(result.changed_files)
-        deleted = set(result.deleted_files)
         analyzed = set(result.analyzed_functions)
-        kept: dict[FunctionKey, list[Finding]] = {
-            key: rows
-            for key, rows in self._findings.items()
-            if key[0] not in changed_files
-            and key[0] not in deleted
-            and key not in analyzed
-        }
-        merged_findings: list[Finding] = []
-        for rows in kept.values():
-            merged_findings.extend(rows)
-        merged_findings.extend(result.findings)
-
-        model = None
-        if self.project.repo is not None and self.config.use_familiarity:
-            from repro.core.familiarity import DokModel
-
-            model = DokModel(self.project.repo, weights=self.config.dok_weights)
-        merged_findings = rank_findings(
-            merged_findings,
-            model=model,
-            until_rev=rev,
-            use_familiarity=self.config.use_familiarity,
+        kept, dropped = [], set()
+        for finding in previous.findings:
+            candidate = finding.candidate
+            if candidate.file in changed_files or (candidate.file, candidate.function) in analyzed:
+                dropped.add(candidate.key)
+            else:
+                kept.append(finding)
+        order = self.analyzer.detection_order
+        merged = sorted([*kept, *result.findings], key=lambda finding: order[finding.key])
+        provenance = previous.provenance.splice(dropped, result.provenance)
+        report = decide(
+            self.project, [], self.config, rev, kept=merged, provenance=provenance
         )
-
-        prune_stats: dict[str, int] = {}
-        for finding in merged_findings:
-            if finding.pruned_by is not None:
-                prune_stats[finding.pruned_by] = prune_stats.get(finding.pruned_by, 0) + 1
-        converged = True
-        if result.engine_stats is not None:
-            converged = not result.engine_stats.non_converged
-        report = Report(
-            project=self.project.name,
-            findings=merged_findings,
-            prune_stats=prune_stats,
+        report = replace(
+            report,
             seconds=result.seconds,
             engine_stats=result.engine_stats,
-            converged=converged,
+            converged=not result.engine_stats.non_converged,
         )
-        self._findings = _group_by_function(merged_findings)
         self._last_report = report
         return report
 

@@ -1,9 +1,10 @@
 """Tests for the project call graph and incremental caller-widening."""
 
-from repro.core.callgraph import build_call_graph
 from repro.core.incremental import IncrementalAnalyzer
 from repro.core.project import Project
+from repro.corpus import generate_app
 
+from tests.core.callgraph_reference import build_call_graph
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
 
 SOURCES = {
@@ -82,13 +83,25 @@ class TestIncrementalWidening:
         )
 
     def test_callers_reanalyzed(self):
-        analyzer = IncrementalAnalyzer(self.repo(), start_rev=0, widen_callers=True)
+        analyzer = IncrementalAnalyzer(self.repo(), start_rev=0)
         result = analyzer.replay_next()
         assert result.changed_functions == ["fetch"]
         # the caller's ignored-return candidate is rediscovered via widening
         assert any(f.candidate.function == "use" for f in result.findings)
 
-    def test_without_widening_caller_skipped(self):
-        analyzer = IncrementalAnalyzer(self.repo(), start_rev=0, widen_callers=False)
-        result = analyzer.replay_next()
-        assert not any(f.candidate.function == "use" for f in result.findings)
+    def test_widening_matches_call_graph_oracle(self):
+        """Every caller of a changed function, by the whole-project call
+        graph, is re-analysed on each replayed commit."""
+        app = generate_app("mysql", scale=0.05, seed=1)
+        analyzer = IncrementalAnalyzer(app.repo, start_rev=20, build_config=set(app.build_config))
+        widened = 0
+        for _ in range(10):
+            result = analyzer.replay_next()
+            graph = build_call_graph(analyzer.project)
+            analyzed = set(result.analyzed_functions)
+            for name in result.changed_functions:
+                for caller in graph.callers_of(name):
+                    location = analyzer.project.index.location(caller)
+                    assert (location.file, caller) in analyzed
+                    widened += 1
+        assert widened

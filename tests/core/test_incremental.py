@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.incremental import IncrementalAnalyzer, changed_line_ranges
+from repro.core.valuecheck import ValueCheckConfig
 from repro.errors import AnalysisError
 
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
+from tests.core.stale_verdicts import PARAM_KEY, PEER_KEY, param_history, peer_history
 
 BASE = {
     "lib.c": "int status(void)\n{\n    return 1;\n}\n",
@@ -134,3 +136,29 @@ class TestIncrementalAnalyzer:
         analyzer = IncrementalAnalyzer(repo, start_rev=0)
         result = analyzer.replay_next()
         assert result.seconds > 0
+
+
+class TestMovedIndexEntries:
+    """A change to one file can move a verdict in a function the diff
+    never reached; replay re-decides exactly those functions."""
+
+    def test_peer_verdict_follows_other_files_calls(self):
+        analyzer = IncrementalAnalyzer(
+            peer_history(), start_rev=0, config=ValueCheckConfig(use_authorship=False)
+        )
+        result = analyzer.replay_next()
+        assert ("b.c", "g") in result.analyzed_functions
+        (finding,) = [f for f in result.findings if f.key == PEER_KEY]
+        assert finding.pruned_by == "peer_definition"
+
+    def test_new_caller_makes_parameter_cross_scope(self):
+        analyzer = IncrementalAnalyzer(param_history(), start_rev=0)
+        result = analyzer.replay_next()
+        assert result.changed_functions == ["h"]
+        assert ("lib.c", "f") in result.analyzed_functions
+        assert [f.key for f in result.reported()] == [PARAM_KEY]
+
+    def test_unmoved_entries_add_nothing(self):
+        repo = repo_with_buggy_commit()
+        result = IncrementalAnalyzer(repo, start_rev=0).replay_next()
+        assert result.analyzed_functions == [("app.c", "run")]

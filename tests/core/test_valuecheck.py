@@ -151,7 +151,7 @@ class TestRanking:
         project = project_from_repo(repo)
         vc = ValueCheck()
         candidates = vc.detect_candidates(project)
-        findings = vc._resolve_authorship(project, candidates, None)
+        findings = project.resolver(None).resolve_all(candidates)
         model = DokModel(repo)
         ranked = rank_findings(findings, model=model)
         unreported = [f for f in ranked if not f.is_reported]

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.core.project import Project
+from repro.core.pruning import default_pipeline
 from repro.core.valuecheck import ValueCheckConfig
 from repro.service import AnalysisService, ServiceConfig
 from repro.service.sessions import SessionManager
@@ -393,6 +394,33 @@ class TestExplainRequest:
             )
             assert not response["ok"]
             assert response["error"]["code"] == "invalid_params"
+        finally:
+            service.shutdown()
+
+
+class TestPruneStatsShape:
+    """``analyze`` and ``analyze_diff`` report prune statistics in one
+    shape: every enabled pruner, zero kills included."""
+
+    def test_every_enabled_pruner_listed_by_both(self):
+        service = AnalysisService(ServiceConfig()).start()
+        try:
+            open_simple(service)
+            full = service.submit(
+                {"id": 1, "type": "analyze", "params": {"project_id": "p"}}
+            )
+            edit = {"m.c": SIMPLE["m.c"].replace("dead = 1;", "dead = 2;")}
+            diff = service.submit(
+                {
+                    "id": 2,
+                    "type": "analyze_diff",
+                    "params": {"project_id": "p", "changes": edit},
+                }
+            )
+            assert full["ok"] and diff["ok"], (full, diff)
+            every_pruner = default_pipeline().stats([])
+            assert full["result"]["prune_stats"] == every_pruner
+            assert diff["result"]["prune_stats"] == every_pruner
         finally:
             service.shutdown()
 
