@@ -15,8 +15,8 @@ Subcommands::
         (the equivalent of the artifact's run.sh → result/).
 
     valuecheck stats <run_stats.jsonl>
-        Summarise runs recorded with ``analyze --stats-out``: per-stage
-        wall-time and per-pruner kill counts per run.
+        Summarise runs recorded with ``analyze --stats-out``: per-layer
+        self time plus the residual, and per-pruner kill counts, per run.
 
     valuecheck snapshot <dir> --store findings.db [--rev LABEL]
         Analyze and record the findings in the persistent store
@@ -122,31 +122,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except UnknownRuleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # One ambient telemetry covers parsing AND analysis, so the exported
-    # trace is a single parse→rank span tree.
+    # One ambient telemetry covers the frontend AND analysis, so the
+    # exported trace is a single span tree and the stats record's layers
+    # add up to the wall time of both.
     telemetry = obs.Telemetry.fresh()
-    profiler = None
-    if args.profile_out:
-        profiler = obs.SamplingProfiler(
-            interval=args.profile_interval,
-            phase_resolver=telemetry.tracer.active_name,
-        ).start()
-    try:
-        with obs.use(telemetry):
-            project = Project.from_sources(
-                sources, name=source_dir.name, repo=repo, build_config=set(args.config or ())
-            )
-            config = ValueCheckConfig(
-                use_authorship=repo is not None,
-                executor=args.executor,
-                workers=args.workers,
-                module_cache=not args.no_module_cache,
-                rules=rules,
-            )
-            report = ValueCheck(config).analyze(project)
-    finally:
-        if profiler is not None:
-            profiler.stop()
+    started = obs.monotonic()
+    with obs.use(telemetry):
+        project = Project.from_sources(
+            sources, name=source_dir.name, repo=repo, build_config=set(args.config or ())
+        )
+        config = ValueCheckConfig(
+            use_authorship=repo is not None,
+            executor=args.executor,
+            workers=args.workers,
+            module_cache=not args.no_module_cache,
+            rules=rules,
+        )
+        report = ValueCheck(config).analyze(project)
+    wall_seconds = obs.monotonic() - started
     print(report.summary())
     print()
     reported = report.reported()
@@ -184,15 +177,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.trace_tree:
         print()
         print(telemetry.tracer.render_tree())
-    if profiler is not None:
-        Path(args.profile_out).write_text(profiler.render_folded())
-        print(
-            f"wrote folded stacks to {args.profile_out} "
-            f"({profiler.stats()['samples']} samples; feed to flamegraph.pl/speedscope)"
-        )
-        print(profiler.render_phases(), end="")
     if args.stats_out:
-        obs.write_jsonl(args.stats_out, report.stats_record())
+        obs.write_jsonl(args.stats_out, report.stats_record(wall_seconds))
         print(f"appended run record to {args.stats_out}")
     if args.prometheus:
         Path(args.prometheus).write_text(obs.to_prometheus(report.metrics))
@@ -961,16 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--prometheus",
         help="write the run's metrics in Prometheus text exposition format",
-    )
-    analyze.add_argument(
-        "--profile-out",
-        help="run under the sampling profiler and write flamegraph folded stacks here",
-    )
-    analyze.add_argument(
-        "--profile-interval",
-        type=float,
-        default=0.005,
-        help="profiler sampling interval in seconds (default: 0.005)",
     )
     analyze.set_defaults(func=_cmd_analyze)
 

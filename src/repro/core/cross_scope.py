@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import obs
 from repro.core.findings import AuthorshipInfo, Candidate, CandidateKind, Finding
 from repro.core.project import Project, ProjectIndex
 from repro.vcs.blame import BlameIndex
@@ -293,5 +294,6 @@ class CrossScopeResolver:
             else "dead store by the function's own author",
         )
 
+    @obs.traced("core.resolve")
     def resolve_all(self, candidates: list[Candidate]) -> list[Finding]:
         return [Finding(candidate=c, authorship=self.resolve(c)) for c in candidates]

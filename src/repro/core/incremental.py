@@ -183,6 +183,7 @@ class IncrementalAnalyzer:
                 else:
                     self.detection_order.pop(candidate.key, None)
 
+    @obs.traced("core.incremental")
     def analyze_changes(
         self,
         changes: Mapping[str, str | None],

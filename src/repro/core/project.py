@@ -103,6 +103,7 @@ def _call_result_used(function: Function, call: Call, use_map) -> bool:
     return bool(uses)
 
 
+@obs.traced("engine.contribution")
 def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> ModuleContribution:
     """Compute one module's index contribution (pure function of the
     module + its value-flow graph, so engine workers can run it off the
@@ -245,8 +246,7 @@ class Project:
 
             if len(self._blame_cache) >= _REV_CACHE_LIMIT:
                 self._blame_cache.pop(next(iter(self._blame_cache)))
-            with obs.span("blame_index", project=self.name):
-                self._blame_cache[rev] = BlameIndex(self.repo, rev=rev)
+            self._blame_cache[rev] = BlameIndex(self.repo, rev=rev)
         return self._blame_cache[rev]
 
     def resolver(self, rev: int | str | None = None):
@@ -274,11 +274,8 @@ class Project:
         engine tests to assert eviction granularity)."""
         return frozenset(self._contribs)
 
+    @obs.traced("core.index")
     def _build_index(self) -> ProjectIndex:
-        with obs.span("project_index", project=self.name):
-            return self._build_index_inner()
-
-    def _build_index_inner(self) -> ProjectIndex:
         index = ProjectIndex()
         call_sites: dict[str, list[CallSite]] = {}
         param_usage: dict[tuple[tuple[str, ...], int], list[bool]] = {}

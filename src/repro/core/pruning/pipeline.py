@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro import obs
 from repro.core.findings import Finding
 from repro.core.pruning.base import PruneContext, Pruner
 from repro.core.pruning.config_dependency import ConfigDependencyPruner
@@ -19,6 +20,7 @@ class PruningPipeline:
 
     pruners: list[Pruner] = field(default_factory=list)
 
+    @obs.traced("core.prune")
     def apply(
         self,
         findings: list[Finding],

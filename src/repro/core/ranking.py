@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro import obs
 from repro.core.familiarity import DokModel
 from repro.core.findings import Finding
 from repro.obs import MetricsRegistry, ProvenanceLog
@@ -53,6 +54,7 @@ def _ranking_entry(
     return entry
 
 
+@obs.traced("core.rank")
 def rank_findings(
     findings: list[Finding],
     model: DokModel | None = None,

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from repro.core.findings import Finding
 from repro.obs import METRICS_SCHEMA_VERSION, summarize_snapshot
 from repro.obs.provenance import render_records
-from repro.obs.sinks import STAGE_ORDER
 
 if TYPE_CHECKING:
     from repro.engine.scheduler import EngineStats
@@ -113,24 +112,29 @@ class Report:
             "reported": len(self.reported()),
         }
 
-    def stage_seconds(self) -> dict[str, float]:
-        """Wall-time per pipeline stage, from the run's span trace."""
+    def layer_seconds(self) -> dict[str, float]:
+        """Self time per layer span of the run's trace, largest first."""
         if self.trace is None:
             return {}
-        totals = self.trace.stage_totals()
-        return {stage: totals[stage] for stage in STAGE_ORDER if stage in totals}
+        return dict(sorted(self.trace.self_times().items(), key=lambda item: -item[1]))
 
-    def stats_record(self) -> dict:
+    def stats_record(self, seconds: float) -> dict:
         """One self-contained JSONL record for ``--stats-out`` files
-        (consumed by ``valuecheck stats`` and trajectory comparisons)."""
+        (consumed by ``valuecheck stats`` and trajectory comparisons).
+
+        ``seconds`` is the wall time the caller measured around the
+        traced work; ``residual`` is the part of it no span accounts
+        for, so the layers plus the residual add up to it exactly."""
+        layers = self.layer_seconds()
         record = {
             "schema": METRICS_SCHEMA_VERSION,
             "project": self.project,
-            "seconds": self.seconds,
+            "seconds": seconds,
             "converged": self.converged,
             "counts": self.counts(),
             "prune_stats": dict(self.prune_stats),
-            "stages": self.stage_seconds(),
+            "layers": layers,
+            "residual": seconds - sum(layers.values()),
         }
         if self.engine_stats is not None:
             record["executor"] = self.engine_stats.executor
@@ -242,9 +246,9 @@ class Report:
                 lines.append(
                     f"  WARNING: solver did not converge on {len(stats.non_converged)} module(s)"
                 )
-        stages = self.stage_seconds()
-        if stages:
-            lines.append("stage wall-time:")
-            for stage, seconds in stages.items():
-                lines.append(f"  {stage:<12}{seconds:9.3f}s")
+        layers = self.layer_seconds()
+        if layers:
+            lines.append("layer self-time:")
+            for name, seconds in layers.items():
+                lines.append(f"  {name:<22}{seconds:9.3f}s")
         return "\n".join(lines)

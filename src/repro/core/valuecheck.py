@@ -60,6 +60,7 @@ class ValueCheckConfig:
         return replace(self, dok_weights=self.dok_weights.without(factor))
 
 
+@obs.traced("core.resolve")
 def resolve_semantic(
     project: Project, candidates: list[Candidate], rev: int | str | None
 ) -> list[Finding]:
@@ -158,14 +159,13 @@ def decide(
 
     packs = resolve_rules(config.rules)
     evidence_kinds = semantic_kinds(packs)
-    with obs.span("resolve"):
-        classic = [c for c in candidates if c.kind not in evidence_kinds]
-        semantic = [c for c in candidates if c.kind in evidence_kinds]
-        if config.use_authorship:
-            decided = project.resolver(rev).resolve_all(classic)
-        else:
-            decided = _without_authorship(project, classic, rev)
-        decided += resolve_semantic(project, semantic, rev)
+    classic = [c for c in candidates if c.kind not in evidence_kinds]
+    semantic = [c for c in candidates if c.kind in evidence_kinds]
+    if config.use_authorship:
+        decided = project.resolver(rev).resolve_all(classic)
+    else:
+        decided = _without_authorship(project, classic, rev)
+    decided += resolve_semantic(project, semantic, rev)
     if provenance is not None:
         for finding in decided:
             if finding.authorship is not None:
@@ -184,8 +184,7 @@ def decide(
         include_history=config.history_pruning,
     )
     context = PruneContext(project=project, metrics=metrics, provenance=provenance)
-    with obs.span("prune"):
-        cross = pipeline.apply(cross, context, rules=tuple(pack.name for pack in packs))
+    cross = pipeline.apply(cross, context, rules=tuple(pack.name for pack in packs))
     findings = sorted(
         [*kept, *cross, *rest],
         key=lambda f: (not _is_cross_scope(f), f.candidate.kind in evidence_kinds),
@@ -196,15 +195,14 @@ def decide(
         model = EaModel(project.repo)
     elif project.repo is not None:
         model = DokModel(project.repo, weights=config.dok_weights)
-    with obs.span("rank"):
-        findings = rank_findings(
-            findings,
-            model=model,
-            until_rev=rev,
-            use_familiarity=config.use_familiarity,
-            metrics=metrics,
-            provenance=provenance,
-        )
+    findings = rank_findings(
+        findings,
+        model=model,
+        until_rev=rev,
+        use_familiarity=config.use_familiarity,
+        metrics=metrics,
+        provenance=provenance,
+    )
     if provenance is not None:
         fresh = {finding.key for finding in decided}
         provenance.finalize(
@@ -248,7 +246,7 @@ class ValueCheck:
         (re-entrant ``analyze`` calls never double-count), while spans
         join the ambient tracer when one is active — so a caller that
         wraps project construction + analysis in ``obs.use(...)`` gets a
-        single parse→rank trace.  Pass ``telemetry`` explicitly to own
+        single frontend → core.rank trace.  Pass ``telemetry`` explicitly to own
         the registry (e.g. to accumulate across runs deliberately).
         """
         started = monotonic()
@@ -258,7 +256,7 @@ class ValueCheck:
             telemetry = obs.Telemetry(tracer=tracer, metrics=obs.MetricsRegistry())
         registry = telemetry.metrics
         provenance = obs.ProvenanceLog()
-        with obs.use(telemetry), telemetry.tracer.span("analyze", project=project.name):
+        with obs.use(telemetry), telemetry.tracer.span("core.pipeline", project=project.name):
             engine_run: EngineRun = self._engine().run(
                 project, metrics=registry, provenance=provenance
             )
@@ -274,11 +272,9 @@ class ValueCheck:
         converged = not engine_run.stats.non_converged
         if not converged:
             registry.inc("andersen.non_converged_modules", len(engine_run.stats.non_converged))
-        seconds = monotonic() - started
-        registry.observe("analyze.run_seconds", seconds)
         return replace(
             report,
-            seconds=seconds,
+            seconds=monotonic() - started,
             engine_stats=engine_run.stats,
             metrics=registry.snapshot(),
             trace=telemetry.tracer,

@@ -15,13 +15,13 @@ Contributions are installed into the project's per-module cache, which
 means ``project.index`` afterwards assembles without recomputing anything.
 
 Telemetry: ``run`` records into a per-run :class:`MetricsRegistry`
-(supplied by the caller, or fresh) — cache lookup latency histograms,
-hit/miss counters, per-module timing percentiles via the worker
-snapshots, and Andersen iteration/convergence stats.  Worker snapshots
-merge in sorted path order; cache *hits* replay only the deterministic
-slice of their stored snapshot (counts, iterations), never stale
-timings.  :class:`EngineStats` remains as a legacy summary view of the
-same run, kept for ``Report.engine_stats`` compatibility.
+(supplied by the caller, or fresh) — hit/miss counters and, via the
+worker snapshots, Andersen iteration/convergence stats.  Worker snapshots
+hold content facts only, so fresh results and cache hits merge alike,
+in sorted path order.  Timings are spans: everything a run does nests
+under its ``engine.run`` span, including the spans process-pool workers
+ship back.  :class:`EngineStats` remains as a legacy summary view of
+the same run, kept for ``Report.engine_stats`` compatibility.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.project import Project
 from repro.engine.cache import DEFAULT_CACHE, ResultCache, module_key
 from repro.engine.executors import make_executor
 from repro.engine.worker import ModuleJob, ModuleResult, analyze_job, analyze_lowered
-from repro.obs import MetricsRegistry, deterministic_view
+from repro.obs import MetricsRegistry
 from repro.obs.clock import monotonic
 
 
@@ -124,32 +124,30 @@ class AnalysisEngine:
         hits = 0
         keys: dict[str, str] = {}
         pending: list[str] = []
-        with obs.span("engine", executor=self.executor.kind, modules=len(paths)):
+        with obs.span(
+            "engine.run", executor=self.executor.kind, modules=len(paths)
+        ) as run_span:
             for path in paths:
                 module = project.modules[path]
                 text = module.source.raw if module.source is not None else None
                 if self.cache is not None and text is not None:
-                    probe_started = monotonic()
                     key = module_key(path, text, project.build_config, rules=self.rules)
                     keys[path] = key
                     cached = self.cache.get(key)
-                    probe_seconds = monotonic() - probe_started
                     outcome = "hit" if cached is not None else "miss"
                     registry.inc("engine.cache.lookups", outcome=outcome)
-                    registry.observe(
-                        "engine.cache.lookup_seconds", probe_seconds, outcome=outcome
-                    )
                     if cached is not None:
                         run.by_path[path] = cached
                         hits += 1
                         continue
                 pending.append(path)
 
-            fresh = set(pending)
             for path, result in zip(pending, self._compute(project, pending)):
                 run.by_path[path] = result
                 if self.cache is not None and path in keys:
                     self.cache.put(keys[path], result)
+                if run_span is not None:
+                    _graft(obs.current().tracer, result.spans, run_span.span_id)
 
             # Deterministic merge: sorted path order, regardless of executor.
             for path in paths:
@@ -163,19 +161,13 @@ class AnalysisEngine:
                     # identical across executors and cache states.
                     provenance.merge_detections(result.provenance)
                 if result.metrics is not None:
-                    # Hits replay only content facts (iteration counts,
-                    # convergence) — their stored timings are stale.
-                    if path in fresh:
-                        registry.merge(result.metrics)
-                    else:
-                        registry.merge(deterministic_view(result.metrics))
+                    registry.merge(result.metrics)
 
         registry.inc("engine.runs")
         registry.inc("engine.modules", len(paths))
         registry.inc("engine.modules_analyzed", len(pending))
         registry.set_gauge("engine.workers", self.executor.workers)
         seconds = monotonic() - started
-        registry.observe("engine.run_seconds", seconds)
         run.stats = EngineStats(
             executor=self.executor.kind,
             workers=self.executor.workers,
@@ -224,3 +216,18 @@ class AnalysisEngine:
             )
 
         return self.executor.map(compute, paths)
+
+
+def _graft(tracer: obs.Tracer, spans: list[obs.Span], parent_id: int) -> None:
+    """Add a worker's spans (host monotonic clock) to ``tracer``: its
+    roots under ``parent_id``, the rest under their grafted parents."""
+    grafted: dict[int, int] = {}
+    for span in sorted(spans, key=lambda span: span.span_id):
+        record = tracer.add_span(
+            span.name,
+            span.start - tracer.epoch,
+            span.end - tracer.epoch,
+            parent_id=grafted.get(span.parent_id, parent_id),
+            **span.attrs,
+        )
+        grafted[span.span_id] = record.span_id

@@ -12,14 +12,14 @@ Telemetry: each worker records into a **module-local**
 the :class:`ModuleResult` (a plain dict, so it pickles).  The scheduler
 merges those snapshots in sorted path order, which is what makes the
 merged registry identical across the serial and process executors.
-Spans, by contrast, only reach the ambient tracer from in-process
-workers — a process pool cannot share a tracer, so its stage costs
-travel exclusively through the metrics snapshots.
+In-process workers record their spans straight into the ambient tracer;
+a process-pool worker records into a tracer of its own and ships the
+spans in the result, which the scheduler grafts under ``engine.run``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.core.findings import Candidate
@@ -38,14 +38,17 @@ class ModuleResult:
     candidates: list[Candidate] = field(default_factory=list)
     contribution: ModuleContribution = field(default_factory=ModuleContribution)
     converged: bool = True
-    # Worker-local metrics snapshot (repro.obs schema): stage timings,
-    # Andersen iteration counts, convergence counters for this module.
+    # Worker-local metrics snapshot (repro.obs schema): Andersen
+    # iteration counts and convergence counters for this module.
     metrics: dict | None = None
     # Deterministic detection-provenance slice: one plain dict per
     # candidate (repro.obs.provenance.detection_record).  Stored here —
     # not rebuilt by the scheduler — so content-cache hits replay the
     # exact records the original analysis produced.
     provenance: list[dict] = field(default_factory=list)
+    # Spans a process-pool worker recorded, starts and ends on the host's
+    # monotonic clock (empty for in-process analysis).
+    spans: list[obs.Span] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -72,19 +75,14 @@ def analyze_lowered(
 
     local = MetricsRegistry()
     packs = resolve_rules(rules)
-    with local.time("module.analyze_seconds"):
-        if vfg is None:
-            with local.time("module.vfg_seconds"):
-                vfg = build_value_flow(module)
-        with local.time("module.detect_seconds"), obs.span("detect", module=path):
-            candidates = []
-            for pack in packs:
-                with local.time("rules.detect_seconds", rule=pack.name):
-                    found = pack.detect(path, module, vfg)
-                local.inc("rules.candidates", len(found), rule=pack.name)
-                candidates.extend(found)
-        with local.time("module.contribution_seconds"):
-            contribution = build_contribution(path, module, vfg)
+    if vfg is None:
+        vfg = build_value_flow(module)
+    candidates = []
+    for pack in packs:
+        found = pack.detect(path, module, vfg)
+        local.inc("rules.candidates", len(found), rule=pack.name)
+        candidates.extend(found)
+    contribution = build_contribution(path, module, vfg)
     converged = vfg.andersen.converged
     local.inc("andersen.modules")
     local.observe("andersen.iterations", vfg.andersen.iterations)
@@ -104,6 +102,13 @@ def analyze_lowered(
 
 def analyze_job(job: ModuleJob) -> ModuleResult:
     """Analyse from source text (process executors; module-level function
-    so it pickles by reference)."""
-    module = lower_source(job.text, filename=job.path, config=set(job.build_config))
-    return analyze_lowered(job.path, module, rules=job.rules)
+    so it pickles by reference), recording spans for the parent to graft."""
+    tracer = obs.Tracer()
+    with obs.use(obs.Telemetry(tracer=tracer)):
+        module = lower_source(job.text, filename=job.path, config=set(job.build_config))
+        result = analyze_lowered(job.path, module, rules=job.rules)
+    result.spans = [
+        replace(span, start=span.start + tracer.epoch, end=span.end + tracer.epoch)
+        for span in tracer.spans()
+    ]
+    return result

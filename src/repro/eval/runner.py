@@ -41,13 +41,14 @@ class EvaluationRun:
     trace: "obs.Tracer | None" = None
 
     def experiment_seconds(self) -> dict[str, float]:
+        """Wall time of each root span (suite build, one per experiment),
+        largest first."""
         if self.trace is None:
             return {}
-        totals = self.trace.stage_totals()
+        roots = self.trace.children_of(None)
         return {
-            name: seconds
-            for name, seconds in sorted(totals.items(), key=lambda kv: -kv[1])
-            if name.startswith("experiment:") or name == "build_suite"
+            span.name: span.seconds
+            for span in sorted(roots, key=lambda span: -span.seconds)
         }
 
     def render(self) -> str:

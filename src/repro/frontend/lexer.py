@@ -25,6 +25,7 @@ import enum
 import re
 from typing import NamedTuple, NoReturn
 
+from repro import obs
 from repro.errors import LexError
 
 
@@ -207,6 +208,7 @@ def _raise_error(text: str, offset: int, filename: str) -> NoReturn:
     raise LexError(f"unexpected character {char!r}", filename, line, column)
 
 
+@obs.traced("frontend.lex")
 def tokenize(text: str, filename: str = "<memory>") -> list[Token]:
     """Tokenize ``text`` and return the token list (EOF-terminated)."""
     tokens: list[Token] = []

@@ -15,6 +15,7 @@ are also treated as declarations, which matches how system C code reads.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.errors import ParseError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import Token, TokenKind, tokenize
@@ -599,6 +600,7 @@ class Parser:
         self.typedef_names.add(alias)
         return ast.TypedefDecl(name=alias, aliased=aliased, line=token.line)
 
+    @obs.traced("frontend.parse")
     def parse_translation_unit(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit(filename=self.filename)
         while self.tokens[self.pos].kind is not _EOF:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.errors import PreprocessorError
 
 _DIRECTIVES = ("#if", "#ifdef", "#ifndef", "#else", "#elif", "#endif", "#define", "#undef", "#include", "#pragma")
@@ -97,6 +98,7 @@ def _evaluate(expression: str, defines: dict[str, str]) -> bool:
     return value not in ("0", "")
 
 
+@obs.traced("frontend.preprocess")
 def preprocess(
     text: str,
     filename: str = "<memory>",

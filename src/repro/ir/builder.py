@@ -25,6 +25,7 @@ cursor pruner consumes this.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.errors import LoweringError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse_source
@@ -610,6 +611,7 @@ class _FunctionBuilder:
                         successor.predecessors.append(block)
 
 
+@obs.traced("ir.lower")
 def lower_unit(unit: ast.TranslationUnit, source: PreprocessedSource | None = None) -> Module:
     """Lower a parsed translation unit into an IR module."""
     module = Module(filename=unit.filename, unit=unit, source=source)
@@ -626,9 +628,5 @@ def lower_unit(unit: ast.TranslationUnit, source: PreprocessedSource | None = No
 
 def lower_source(text: str, filename: str = "<memory>", config: set[str] | None = None) -> Module:
     """Parse and lower MiniC source text in one step."""
-    from repro import obs
-
-    with obs.span("parse", module=filename):
-        unit, preprocessed = parse_source(text, filename=filename, config=config)
-    with obs.span("lower", module=filename):
-        return lower_unit(unit, preprocessed)
+    unit, preprocessed = parse_source(text, filename=filename, config=config)
+    return lower_unit(unit, preprocessed)

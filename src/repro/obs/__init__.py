@@ -2,9 +2,9 @@
 
 The subsystem has three parts (all stdlib-only):
 
-* :mod:`repro.obs.trace` — a span tracer (`Tracer.span("andersen",
+* :mod:`repro.obs.trace` — a span tracer (`Tracer.span("pointer.vfg",
   module=...)`) that produces a hierarchical wall-time trace exportable
-  as Chrome ``trace_event`` JSON or a human-readable tree;
+  as Chrome ``trace_event`` JSON, a human-readable tree or self times;
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
   with deterministic worker-snapshot merging (supersedes the ad-hoc
   ``Report.engine_stats`` counters);
@@ -23,19 +23,21 @@ Instrumentation sites use the **ambient telemetry** established with
 
     telemetry = Telemetry.fresh()
     with use(telemetry):
-        project = Project.from_sources(sources)   # parse/lower spans
-        report = ValueCheck().analyze(project)    # engine→rank spans
+        project = Project.from_sources(sources)   # frontend.* / ir.lower spans
+        report = ValueCheck().analyze(project)    # core.pipeline and below
 
 Deep pipeline code calls the module-level :func:`span` /
-:func:`metrics` helpers, which no-op (cheaply) when no telemetry is
-active — the un-instrumented fast path stays free.  Metrics are
+:func:`traced` / :func:`metrics` helpers, which no-op (cheaply) when no
+telemetry is active — the un-instrumented fast path stays free.  Span
+names are the benchmark's layer names (docs/OBSERVABILITY.md).  Metrics are
 namespaced *per run*: each ``ValueCheck.analyze`` call records into a
 fresh registry (re-entrant calls never double-count), while spans join
-whatever tracer is ambient so one trace can cover parse → rank.
+whatever tracer is ambient so one trace can cover the whole pipeline.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,7 +49,6 @@ from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     base_name,
-    deterministic_view,
     metric_key,
     parse_key,
     summarize,
@@ -131,6 +132,21 @@ def span(name: str, **attrs):
     return telemetry.tracer.span(name, **attrs)
 
 
+def traced(name: str):
+    """Decorator: run every call of the function inside a ``name`` span
+    on the ambient tracer."""
+
+    def decorate(function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            with span(name):
+                return function(*args, **kwargs)
+
+        return wrapper
+
+    return decorate
+
+
 def metrics() -> MetricsRegistry | None:
     """The ambient metrics registry, if any."""
     telemetry = current()
@@ -163,7 +179,6 @@ __all__ = [
     "build_trackers",
     "current",
     "fold_frame",
-    "deterministic_view",
     "detection_record",
     "make_part",
     "metric_key",
@@ -182,6 +197,7 @@ __all__ = [
     "summarize",
     "summarize_snapshot",
     "to_prometheus",
+    "traced",
     "use",
     "wall_clock",
     "write_jsonl",

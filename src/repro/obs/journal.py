@@ -22,13 +22,13 @@ Properties:
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.clock import wall_clock
+from repro.obs.sinks import write_jsonl
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class EventJournal:
         self._next_seq = 1
         self._dropped = 0
         self._sink_path = Path(sink_path) if sink_path is not None else None
-        self._sink = None
-        if self._sink_path is not None:
-            self._sink_path.parent.mkdir(parents=True, exist_ok=True)
-            self._sink = self._sink_path.open("a")
 
     # -- writing ---------------------------------------------------------
 
@@ -72,18 +68,14 @@ class EventJournal:
             if len(self._events) == self.capacity:
                 self._dropped += 1
             self._events.append(event)
-            if self._sink is not None:
-                self._sink.write(
-                    json.dumps(event.as_dict(), sort_keys=True, default=str) + "\n"
-                )
-                self._sink.flush()
+            if self._sink_path is not None:
+                write_jsonl(self._sink_path, event.as_dict())
         return event
 
     def close(self) -> None:
+        """Stop mirroring to the sink file (the ring keeps recording)."""
         with self._lock:
-            if self._sink is not None:
-                self._sink.close()
-                self._sink = None
+            self._sink_path = None
 
     # -- reading ---------------------------------------------------------
 

@@ -12,9 +12,11 @@ Conventions
 
 * Metric identity is ``name`` plus an optional label set; the canonical
   key is ``name{k=v,...}`` with label keys sorted (Prometheus-style).
-* Timing metrics end in ``_seconds``.  :func:`deterministic_view` strips
-  them, leaving exactly the metrics that must be bit-identical across
-  executors (counts, iterations, kill tallies, ...).
+* The analysis pipeline records only content facts here (counts,
+  iterations, kill tallies), so its merged registry is bit-identical
+  across executors and cache states.  Its stage timings are spans (see
+  :mod:`repro.obs.trace`).  Timing metrics of the service and router end
+  in ``_seconds``.
 * Merge semantics: counters add, histograms concatenate (snapshots sort
   values, so merge order never shows), gauges keep the maximum.
 """
@@ -22,15 +24,12 @@ Conventions
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping
-
-from repro.obs.clock import monotonic
+from typing import Iterable, Mapping
 
 # Bump whenever a metric is renamed/removed or its meaning changes:
 # metric snapshots and the ``--stats-out`` JSONL run records carry this so
 # readers know when the schema drifted.
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
 def metric_key(name: str, labels: Mapping[str, object] | None = None) -> str:
@@ -83,25 +82,6 @@ def summarize(values: Iterable[float]) -> dict[str, float]:
     }
 
 
-def deterministic_view(snapshot: dict) -> dict:
-    """The executor-independent slice of a snapshot: every metric whose
-    base name does not end in ``_seconds``."""
-
-    def keep(section: Mapping) -> dict:
-        return {
-            key: value
-            for key, value in section.items()
-            if not base_name(key).endswith("_seconds")
-        }
-
-    return {
-        "schema": snapshot.get("schema", METRICS_SCHEMA_VERSION),
-        "counters": keep(snapshot.get("counters", {})),
-        "gauges": keep(snapshot.get("gauges", {})),
-        "histograms": keep(snapshot.get("histograms", {})),
-    }
-
-
 def summarize_snapshot(snapshot: dict) -> dict:
     """A compact form for JSONL/BENCH files: histograms collapse to their
     summary statistics instead of raw value lists."""
@@ -141,15 +121,6 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         with self._lock:
             self._histograms.setdefault(key, []).append(value)
-
-    @contextmanager
-    def time(self, name: str, **labels) -> Iterator[None]:
-        """Observe the wall-time of the guarded block into ``name``."""
-        started = monotonic()
-        try:
-            yield
-        finally:
-            self.observe(name, monotonic() - started, **labels)
 
     # -- reading ---------------------------------------------------------
 

@@ -21,7 +21,7 @@ Usage::
     with profiler:
         run_the_workload()
     Path("profile.folded").write_text(profiler.render_folded())
-    print(profiler.phases())          # {"andersen": 812, "parse": 64, ...}
+    print(profiler.phases())          # {"pointer.andersen": 812, ...}
 """
 
 from __future__ import annotations

@@ -3,13 +3,15 @@
 Three consumers, three formats:
 
 * **JSONL** (`--stats-out run_stats.jsonl`) — one self-contained JSON
-  object per pipeline run, for trajectory comparison across PRs and the
-  ``valuecheck stats`` summary table.
+  object per pipeline run, for trajectory comparison and the
+  ``valuecheck stats`` summary table.  The event journal's file mirror
+  appends through the same writer.
 * **Prometheus text exposition** — counters as ``_total``, histograms as
   ``_count``/``_sum`` plus quantile samples, for scraping in a service
   deployment.
 * **Summary table** — the human-facing ``valuecheck stats`` rendering:
-  per-stage wall-time and per-pruner kill counts per recorded run.
+  per-layer self time plus the residual, and per-pruner kill counts,
+  per recorded run.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from repro.obs.metrics import base_name, parse_key, summarize
 
 
 def write_jsonl(path: str | Path, record: dict) -> None:
-    """Append one run record to a JSONL stats file (created on demand)."""
+    """Append one record to a JSONL file (created on demand): sorted keys,
+    non-JSON values as ``str``, on disk when this returns."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
@@ -95,22 +98,6 @@ def to_prometheus(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The pipeline stages `valuecheck stats` breaks wall-time down by, in
-# execution order (see docs/OBSERVABILITY.md for the span schema).
-STAGE_ORDER = (
-    "parse",
-    "lower",
-    "vfg",
-    "andersen",
-    "engine",
-    "detect",
-    "resolve",
-    "prune",
-    "rank",
-    "store",
-)
-
-
 def _fmt_seconds(value: float | None) -> str:
     return f"{value:.3f}" if value is not None else "—"
 
@@ -134,14 +121,12 @@ def render_stats_table(records: list[dict]) -> str:
             f"pruned={counts.get('pruned', 0)} "
             f"reported={counts.get('reported', 0)}"
         )
-        stages = record.get("stages", {})
-        if stages:
-            parts.append("  stage         wall-time")
-            for stage in STAGE_ORDER:
-                if stage in stages:
-                    parts.append(f"    {stage:<12}{stages[stage]:9.3f}s")
-            for stage in sorted(set(stages) - set(STAGE_ORDER)):
-                parts.append(f"    {stage:<12}{stages[stage]:9.3f}s")
+        layers = record.get("layers", {})
+        if layers:
+            parts.append("  layer                   self-time")
+            for name, seconds in sorted(layers.items(), key=lambda item: (-item[1], item[0])):
+                parts.append(f"    {name:<22}{seconds:9.3f}s")
+            parts.append(f"    {'residual':<22}{record.get('residual', 0.0):9.3f}s")
         # Per-pruner kills come from the provenance aggregates when the
         # record carries them (the verdicts are the source of truth the
         # kill counters are derived from); older records fall back to the

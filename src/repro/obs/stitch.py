@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.obs.trace import chrome_event, thread_name_event
+
 
 @dataclass(frozen=True)
 class TracePart:
@@ -212,34 +214,21 @@ def stitch_chrome(parts: list[TracePart], root_ts: float | None = None) -> dict:
                 tid = int(span.get("thread_id", 0))
                 if tid not in named_tids:
                     named_tids.add(tid)
-                    meta.append(
-                        {
-                            "name": "thread_name",
-                            "ph": "M",
-                            "pid": part.pid,
-                            "tid": tid,
-                            "args": {"name": f"{part.process} t{tid}"},
-                        }
-                    )
+                    meta.append(thread_name_event(part.pid, tid, f"{part.process} t{tid}"))
                 events.append(
-                    {
-                        "name": span.get("name", ""),
-                        "ph": "X",
-                        "ts": round((offset + float(span.get("start", 0.0))) * 1e6, 3),
-                        "dur": round(float(span.get("seconds", 0.0)) * 1e6, 3),
-                        "pid": part.pid,
-                        "tid": tid,
-                        "cat": "repro",
-                        "args": {
+                    chrome_event(
+                        span.get("name", ""),
+                        offset + float(span.get("start", 0.0)),
+                        float(span.get("seconds", 0.0)),
+                        part.pid,
+                        tid,
+                        {
                             "trace_id": record.get("trace_id", ""),
-                            "request_id": str(record.get("request_id")),
+                            "request_id": record.get("request_id"),
                             "process": part.process,
-                            **{
-                                str(k): str(v)
-                                for k, v in (span.get("attrs") or {}).items()
-                            },
+                            **(span.get("attrs") or {}),
                         },
-                    }
+                    )
                 )
     events.sort(
         key=lambda event: (event["ts"], event["pid"], event["tid"], event["name"])

@@ -3,8 +3,8 @@
 Usage::
 
     tracer = Tracer()
-    with tracer.span("analyze", project="openssl"):
-        with tracer.span("andersen", module="ssl.c"):
+    with tracer.span("core.pipeline", project="openssl"):
+        with tracer.span("pointer.andersen", module="ssl.c"):
             ...
     print(tracer.render_tree())
     Path("trace.json").write_text(json.dumps(tracer.to_chrome()))
@@ -12,8 +12,12 @@ Usage::
 Spans nest per thread (each thread keeps its own open-span stack), so
 worker threads produce their own span roots; the Chrome export carries a
 ``tid`` per thread, which is how ``chrome://tracing`` / Perfetto lay the
-tracks out.  Process-pool workers cannot share a tracer — their stage
-costs travel back as metrics instead (see :mod:`repro.engine.worker`).
+tracks out.  Process-pool workers record into a tracer of their own and
+ship its spans back; the engine grafts them under its ``engine.run``
+span (see :mod:`repro.engine.worker`).
+
+:meth:`Tracer.self_times` answers "where did the time go": per span
+name, the time spent in that span and in none of its children.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class Tracer:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._epoch = monotonic()
+        # Monotonic time of the epoch: span starts are seconds after it.
+        self.epoch = monotonic()
         # Wall-clock time of the epoch.  Span starts are monotonic-relative
         # (per-process arbitrary zero); this is the cross-process anchor a
         # trace stitcher uses to place two processes' spans on one timeline.
@@ -109,7 +114,7 @@ class Tracer:
             span_id=span_id,
             parent_id=parent,
             thread_id=self._thread_id(),
-            start=monotonic() - self._epoch,
+            start=monotonic() - self.epoch,
             attrs=dict(attrs),
         )
         stack.append(record)
@@ -120,7 +125,7 @@ class Tracer:
             yield record
         finally:
             stack.pop()
-            record.end = monotonic() - self._epoch
+            record.end = monotonic() - self.epoch
             with self._lock:
                 self._spans.append(record)
                 open_stack = self._active.get(ident)
@@ -164,7 +169,7 @@ class Tracer:
 
     def elapsed(self) -> float:
         """Seconds since the tracer epoch (the `start` of a span opened now)."""
-        return monotonic() - self._epoch
+        return monotonic() - self.epoch
 
     def active_name(self, ident: int | None = None) -> str | None:
         """The innermost open span name on a thread (default: this one).
@@ -188,13 +193,25 @@ class Tracer:
     def span_names(self) -> set[str]:
         return {span.name for span in self.spans()}
 
-    def stage_totals(self) -> dict[str, float]:
-        """Total wall-time per span name.  Nested spans count toward their
-        own name only, so pipeline stages (distinct names) never
-        double-count each other."""
+    def self_times(self) -> dict[str, float]:
+        """Seconds of self time per span name.
+
+        A span's self time is its duration minus the union of its direct
+        children's intervals (clipped to the span), so parallel children
+        count once and nested spans never count twice.  Summed over every
+        name, self times add up to the duration of the root spans.
+        """
+        spans = self.spans()
+        children: dict[int | None, list[tuple[float, float]]] = {}
+        for span in spans:
+            children.setdefault(span.parent_id, []).append((span.start, span.end))
         totals: dict[str, float] = {}
-        for span in self.spans():
-            totals[span.name] = totals.get(span.name, 0.0) + span.seconds
+        for span in spans:
+            covered = _union_length(
+                (max(start, span.start), min(end, span.end))
+                for start, end in children.get(span.span_id, ())
+            )
+            totals[span.name] = totals.get(span.name, 0.0) + span.seconds - covered
         return totals
 
     def children_of(self, span_id: int | None) -> list[Span]:
@@ -209,20 +226,10 @@ class Tracer:
         """Chrome ``trace_event`` format (load in chrome://tracing or
         https://ui.perfetto.dev): one complete ("X") event per span, with
         microsecond timestamps relative to the tracer epoch."""
-        events = []
-        for span in self.spans():
-            events.append(
-                {
-                    "name": span.name,
-                    "ph": "X",
-                    "ts": round(span.start * 1e6, 3),
-                    "dur": round(span.seconds * 1e6, 3),
-                    "pid": 0,
-                    "tid": span.thread_id,
-                    "cat": "repro",
-                    "args": {str(k): str(v) for k, v in span.attrs.items()},
-                }
-            )
+        events = [
+            chrome_event(span.name, span.start, span.seconds, 0, span.thread_id, span.attrs)
+            for span in self.spans()
+        ]
         events.sort(key=lambda event: (event["ts"], event["tid"], event["name"]))
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
@@ -245,6 +252,37 @@ class Tracer:
         for root in self.children_of(None):
             emit(root, 0)
         return "\n".join(lines)
+
+
+def _union_length(intervals) -> float:
+    """Total length covered by ``(start, end)`` intervals."""
+    total, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        start = max(start, reach)
+        if end > start:
+            total += end - start
+            reach = end
+    return total
+
+
+def chrome_event(name: str, start: float, seconds: float, pid: int, tid: int, args) -> dict:
+    """One Chrome complete ("X") event; ``start``/``seconds`` in seconds,
+    ``args`` stringified."""
+    return {
+        "name": name,
+        "ph": "X",
+        "ts": round(start * 1e6, 3),
+        "dur": round(seconds * 1e6, 3),
+        "pid": pid,
+        "tid": tid,
+        "cat": "repro",
+        "args": {str(k): str(v) for k, v in args.items()},
+    }
+
+
+def thread_name_event(pid: int, tid: int, name: str) -> dict:
+    """A Chrome metadata ("M") event naming one track."""
+    return {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
 
 
 #: Reusable "tracing off" context manager (avoids allocating one per call).

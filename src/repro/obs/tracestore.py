@@ -37,7 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.obs.clock import wall_clock
-from repro.obs.trace import Span
+from repro.obs.trace import Span, chrome_event, thread_name_event
 
 
 @dataclass(frozen=True)
@@ -214,34 +214,23 @@ class TraceStore:
                     next_tid += 1
                     track_ids[span.thread_id] = tid
                     meta.append(
-                        {
-                            "name": "thread_name",
-                            "ph": "M",
-                            "pid": pid,
-                            "tid": tid,
-                            "args": {
-                                "name": (
-                                    f"request {record.request_id} {record.kind}"
-                                    f" / t{span.thread_id}"
-                                )
-                            },
-                        }
+                        thread_name_event(
+                            pid, tid, f"request {record.request_id} {record.kind} / t{span.thread_id}"
+                        )
                     )
                 events.append(
-                    {
-                        "name": span.name,
-                        "ph": "X",
-                        "ts": round(span.start * 1e6, 3),
-                        "dur": round(span.seconds * 1e6, 3),
-                        "pid": pid,
-                        "tid": tid,
-                        "cat": "repro",
-                        "args": {
+                    chrome_event(
+                        span.name,
+                        span.start,
+                        span.seconds,
+                        pid,
+                        tid,
+                        {
                             "trace_id": record.trace_id,
-                            "request_id": str(record.request_id),
-                            **{str(k): str(v) for k, v in span.attrs.items()},
+                            "request_id": record.request_id,
+                            **span.attrs,
                         },
-                    }
+                    )
                 )
         events.sort(key=lambda event: (event["ts"], event["tid"], event["name"]))
         return {"traceEvents": meta + events, "displayTimeUnit": "ms"}

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+from repro import obs
 from repro.ir.instructions import (
     AddrOf,
     Address,
@@ -772,6 +773,7 @@ class _Solver:
         )
 
 
+@obs.traced("pointer.andersen")
 def analyze_module(module: Module) -> AndersenResult:
     """Run Andersen's analysis over every function in ``module``."""
     return _Solver(module).solve()

@@ -97,10 +97,9 @@ def _collect_unused_call_results(function: Function) -> set[int]:
 def build_value_flow(module: Module, andersen: AndersenResult | None = None) -> ValueFlowGraph:
     """Build the value-flow graph for ``module`` (running Andersen's
     analysis unless a result is supplied)."""
-    with obs.span("vfg", module=module.filename):
+    with obs.span("pointer.vfg", module=module.filename):
         if andersen is None:
-            with obs.span("andersen", module=module.filename):
-                andersen = analyze_module(module)
+            andersen = analyze_module(module)
         graph = ValueFlowGraph(module=module, andersen=andersen)
         for function in module.functions.values():
             graph.address_taken[function.name] = _collect_address_taken(function)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro import obs
 from repro.core.findings import Candidate, CandidateKind
 from repro.ir.instructions import Call, Load, Store, VarAddr
 from repro.ir.module import BasicBlock, Function, Module
@@ -182,6 +183,7 @@ class ResourceLeakPack(RulePack):
     # Leaks degrade, they rarely corrupt: surface them without failing CI.
     gate_policy = "warn"
 
+    @obs.traced("rules.detect")
     def detect(self, path: str, module: Module, vfg: ValueFlowGraph) -> list[Candidate]:
         return detect_resource_leak(module, vfg)
 

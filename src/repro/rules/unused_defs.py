@@ -6,6 +6,7 @@ to the pre-RulePack pipeline (asserted by a regression test)."""
 
 from __future__ import annotations
 
+from repro import obs
 from repro.core.detector import detect_module
 from repro.core.findings import Candidate, CandidateKind
 from repro.ir.module import Module
@@ -36,6 +37,7 @@ class UnusedDefinitionsPack(RulePack):
     resolution = "authorship"
     gate_policy = "block"
 
+    @obs.traced("rules.detect")
     def detect(self, path: str, module: Module, vfg: ValueFlowGraph) -> list[Candidate]:
         return detect_module(module, vfg)
 

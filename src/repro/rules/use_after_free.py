@@ -18,6 +18,7 @@ real deallocator.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.core.findings import Candidate, CandidateKind
 from repro.ir.instructions import Call, CastOp, DerefAddr, Load, Store, VarAddr
 from repro.ir.module import BasicBlock, Function, Module
@@ -175,6 +176,7 @@ class UseAfterFreePack(RulePack):
     resolution = "semantic"
     gate_policy = "block"
 
+    @obs.traced("rules.detect")
     def detect(self, path: str, module: Module, vfg: ValueFlowGraph) -> list[Candidate]:
         return detect_use_after_free(module, vfg)
 

@@ -43,6 +43,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro import obs
+
 if TYPE_CHECKING:
     from repro.core.findings import Candidate, Finding
 
@@ -179,6 +181,7 @@ def fingerprint_candidate(
     )
 
 
+@obs.traced("store.fingerprint")
 def fingerprint_findings(
     findings: Iterable["Finding"], sources: Mapping[str, str | None]
 ) -> dict[str, Fingerprint]:

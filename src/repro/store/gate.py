@@ -105,6 +105,7 @@ class GateResult:
         return "\n".join(lines)
 
 
+@obs.traced("store.gate")
 def evaluate_gate(
     diff: LifecycleDiff, baseline: BaselineFile | None = None
 ) -> GateResult:

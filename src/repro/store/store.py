@@ -266,7 +266,7 @@ class FindingsStore:
         ``baseline_rev=None`` means the latest recorded snapshot; a store
         with no snapshots yet classifies everything as ``new``.
         """
-        with obs.span("store", op="diff", rev=rev):
+        with obs.span("store.diff", rev=rev):
             return self._classify(_reported(findings), sources, rev, baseline_rev)
 
     def record_snapshot(
@@ -277,10 +277,9 @@ class FindingsStore:
         baseline_rev: str | None = None,
     ) -> LifecycleDiff:
         """Classify ``findings`` and persist the result as snapshot ``rev``."""
-        with obs.span("store", op="snapshot", rev=rev):
-            diff = self._classify(_reported(findings), sources, rev, baseline_rev)
-            self._apply(diff, rev)
-            return diff
+        diff = self.diff(findings, sources, rev, baseline_rev)
+        self._apply(diff, rev)
+        return diff
 
     def update_from_incremental(
         self, result: "IncrementalResult", project, rev: str
@@ -308,28 +307,27 @@ class FindingsStore:
                 return module is None or row.function not in module.functions
             return False
 
-        with obs.span("store", op="incremental", rev=rev):
-            scope_entries = {
-                fingerprint: row
-                for fingerprint, row in self.backend.entries().items()
-                if in_scope(row)
-            }
-            fresh = [finding for finding in result.findings if finding.is_reported]
-            diff = self._classify_against(
-                fresh,
-                project_sources(project),
-                rev,
-                scope_entries,
-                baseline_members=frozenset(
-                    fingerprint
-                    for fingerprint, row in scope_entries.items()
-                    if row.status == "active"
-                ),
-                baseline_rev=None,
-                baseline_version=_analysis_version(),
-            )
-            self._apply(diff, rev, snapshot=True)
-            return diff
+        scope_entries = {
+            fingerprint: row
+            for fingerprint, row in self.backend.entries().items()
+            if in_scope(row)
+        }
+        fresh = [finding for finding in result.findings if finding.is_reported]
+        diff = self._classify_against(
+            fresh,
+            project_sources(project),
+            rev,
+            scope_entries,
+            baseline_members=frozenset(
+                fingerprint
+                for fingerprint, row in scope_entries.items()
+                if row.status == "active"
+            ),
+            baseline_rev=None,
+            baseline_version=_analysis_version(),
+        )
+        self._apply(diff, rev, snapshot=True)
+        return diff
 
     # -- internals -------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import obs
 from repro.errors import VcsError
 from repro.vcs.diff import myers_diff
 from repro.vcs.objects import Author, Commit
@@ -54,6 +55,7 @@ class BlameIndex:
         return None
 
 
+@obs.traced("vcs.blame")
 def blame(repo: Repository, path: str, rev: int | str | None = None) -> list[LineBlame]:
     """Blame ``path`` at ``rev`` (default HEAD)."""
     limit = repo.rev_index(rev)

@@ -28,7 +28,6 @@ TIMED_MODULES = (
     "eval/suite.py",
     "eval/pointer_comparison.py",
     "obs/trace.py",
-    "obs/metrics.py",
 )
 
 

@@ -7,12 +7,12 @@ import threading
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
-    deterministic_view,
     metric_key,
     parse_key,
     summarize,
     summarize_snapshot,
 )
+from tests.obs.oracles import deterministic_view
 
 
 class TestKeys:
@@ -61,13 +61,6 @@ class TestRecording:
         for value in (3.0, 1.0, 2.0):
             registry.observe("latency", value)
         assert registry.histogram("latency") == [3.0, 1.0, 2.0]
-
-    def test_time_context_manager_observes(self):
-        registry = MetricsRegistry()
-        with registry.time("step_seconds"):
-            pass
-        values = registry.histogram("step_seconds")
-        assert len(values) == 1 and values[0] >= 0
 
     def test_thread_safety(self):
         registry = MetricsRegistry()
@@ -139,12 +132,12 @@ class TestMergeDeterminism:
     def test_deterministic_view_strips_timings(self):
         registry = MetricsRegistry()
         registry.inc("engine.modules", 3)
-        registry.observe("module.analyze_seconds", 0.5)
+        registry.observe("service.request_seconds", 0.5)
         registry.observe("andersen.iterations", 42)
-        registry.observe("engine.cache.lookup_seconds", 0.001, outcome="hit")
+        registry.observe("service.queue.wait_seconds", 0.001, type="analyze")
         view = deterministic_view(registry.snapshot())
-        assert "module.analyze_seconds" not in view["histograms"]
-        assert "engine.cache.lookup_seconds{outcome=hit}" not in view["histograms"]
+        assert "service.request_seconds" not in view["histograms"]
+        assert "service.queue.wait_seconds{type=analyze}" not in view["histograms"]
         assert view["histograms"]["andersen.iterations"] == [42]
         assert view["counters"]["engine.modules"] == 3
 

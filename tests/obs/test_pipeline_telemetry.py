@@ -3,7 +3,7 @@
 Acceptance criteria under test:
 
 * a fully traced ``analyze()`` produces a Chrome trace-event JSON whose
-  span names cover parse → rank;
+  span names cover the frontend → core.rank;
 * thread and process executors yield identical merged metrics
   (``deterministic_view``) for the same project;
 * re-entrant ``analyze()`` calls never double-count (fresh registry per
@@ -19,8 +19,8 @@ import pytest
 from repro import obs
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
-from repro.obs import deterministic_view
-from repro.obs.sinks import STAGE_ORDER, prune_kills
+from repro.obs.sinks import prune_kills
+from tests.obs.oracles import deterministic_view
 
 SOURCES = {
     "lib.c": "int helper(int x)\n{\n    if (x) { return 1; }\n    return 0;\n}\n",
@@ -41,22 +41,25 @@ SOURCES = {
 CONFIG = dict(use_authorship=False, module_cache=False)
 
 REQUIRED_SPANS = {
-    "analyze",
-    "parse",
-    "lower",
-    "vfg",
-    "andersen",
-    "engine",
-    "detect",
-    "resolve",
-    "prune",
-    "rank",
+    "core.pipeline",
+    "frontend.preprocess",
+    "frontend.lex",
+    "frontend.parse",
+    "ir.lower",
+    "pointer.vfg",
+    "pointer.andersen",
+    "engine.run",
+    "rules.detect",
+    "engine.contribution",
+    "core.resolve",
+    "core.prune",
+    "core.rank",
 }
 
 
 def traced_analyze(**overrides):
     """Project construction + analysis under one ambient telemetry, so the
-    parse/lower spans join the same trace as the analyze stages."""
+    frontend spans join the same trace as the analyze stages."""
     telemetry = obs.Telemetry.fresh()
     with obs.use(telemetry):
         project = Project.from_sources(dict(SOURCES))
@@ -77,18 +80,19 @@ class TestTraceCoverage:
     def test_pipeline_stages_nest_under_analyze(self):
         report, telemetry = traced_analyze()
         spans = {span.span_id: span for span in telemetry.tracer.spans()}
-        analyze = next(s for s in spans.values() if s.name == "analyze")
-        for stage in ("engine", "resolve", "prune", "rank"):
+        analyze = next(s for s in spans.values() if s.name == "core.pipeline")
+        for stage in ("engine.run", "core.resolve", "core.prune", "core.rank"):
             span = next(s for s in spans.values() if s.name == stage)
             assert span.parent_id == analyze.span_id
 
-    def test_report_stage_seconds_ordered(self):
-        report, _ = traced_analyze()
-        stages = report.stage_seconds()
-        assert {"parse", "engine", "prune", "rank"} <= set(stages)
-        order = [STAGE_ORDER.index(stage) for stage in stages]
-        assert order == sorted(order)
-        assert all(seconds >= 0 for seconds in stages.values())
+    def test_report_layers_sorted_by_self_time(self):
+        report, telemetry = traced_analyze()
+        layers = report.layer_seconds()
+        assert REQUIRED_SPANS <= set(layers)
+        assert list(layers.values()) == sorted(layers.values(), reverse=True)
+        assert all(seconds >= 0 for seconds in layers.values())
+        roots = [span for span in telemetry.tracer.spans() if span.parent_id is None]
+        assert sum(layers.values()) == pytest.approx(sum(span.seconds for span in roots))
 
 
 class TestExecutorMetricDeterminism:
@@ -140,9 +144,12 @@ class TestReportConsistency:
 
     def test_stats_record_carries_everything(self):
         report, _ = traced_analyze()
-        record = report.stats_record()
+        record = report.stats_record(report.seconds)
         assert record["converged"] is True
         assert record["counts"] == report.counts()
         assert record["prune_stats"] == report.prune_stats
-        assert set(record["stages"]) == set(report.stage_seconds())
+        assert record["layers"] == report.layer_seconds()
+        assert sum(record["layers"].values()) + record["residual"] == pytest.approx(
+            record["seconds"]
+        )
         assert record["metrics"]["counters"] == report.metrics["counters"]

@@ -130,7 +130,8 @@ class TestSummaryTable:
         "seconds": 1.234,
         "converged": True,
         "counts": {"candidates": 10, "cross_scope": 6, "pruned": 4, "reported": 2},
-        "stages": {"parse": 0.5, "rank": 0.01, "custom_stage": 0.2},
+        "layers": {"frontend.parse": 0.5, "core.rank": 0.01, "custom_layer": 0.2},
+        "residual": 0.524,
         "prune_stats": {"cursor": 3, "unused_hints": 1},
     }
 
@@ -138,7 +139,10 @@ class TestSummaryTable:
         table = render_stats_table([self.RECORD])
         assert "project=openssl" in table
         assert "executor=process" in table
-        assert "parse" in table and "rank" in table and "custom_stage" in table
+        rows = [line.split() for line in table.splitlines()]
+        layers = [row[0] for row in rows if len(row) == 2 and row[1].endswith("s")]
+        # Largest self time first; the residual closes the table.
+        assert layers == ["frontend.parse", "custom_layer", "core.rank", "residual"]
         assert "cursor" in table and "   3" in table
 
     def test_empty(self):

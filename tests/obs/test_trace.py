@@ -55,14 +55,23 @@ class TestSpans:
         thread_ids = {span.thread_id for span in tracer.spans()}
         assert len(thread_ids) == 3
 
-    def test_stage_totals_sum_same_name(self):
+    def test_self_times_sum_same_name(self):
         tracer = Tracer()
         for _ in range(3):
-            with tracer.span("detect"):
+            with tracer.span("rules.detect"):
                 pass
-        totals = tracer.stage_totals()
-        assert set(totals) == {"detect"}
-        assert totals["detect"] >= 0
+        totals = tracer.self_times()
+        assert set(totals) == {"rules.detect"}
+        assert totals["rules.detect"] >= 0
+
+    def test_self_time_excludes_children_once(self):
+        tracer = Tracer()
+        root = tracer.add_span("engine.run", 0.0, 10.0)
+        # Two overlapping (parallel) children cover [1, 6] once.
+        tracer.add_span("pointer.vfg", 1.0, 5.0, parent_id=root.span_id)
+        tracer.add_span("pointer.vfg", 2.0, 6.0, parent_id=root.span_id)
+        totals = tracer.self_times()
+        assert totals == {"engine.run": 5.0, "pointer.vfg": 8.0}
 
 
 class TestExports:

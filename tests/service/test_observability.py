@@ -62,7 +62,7 @@ class TestTracePropagation:
         assert "queue.wait" in names
         assert "service.request" in names
         assert "session.lookup" in names
-        assert "engine" in names
+        assert "engine.run" in names
 
     def test_server_assigns_trace_id_when_client_sends_none(self, service):
         response = open_simple(service)

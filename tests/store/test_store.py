@@ -285,7 +285,7 @@ class TestTelemetry:
             snapshot(store, {"t.c": SRC}, "revA")
             snapshot(store, {"t.c": SRC_FIXED}, "revB")
         names = [span.name for span in telemetry.tracer.spans()]
-        assert names.count("store") == 2
+        assert names.count("store.diff") == 2
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters["store.fingerprints"] == 3  # 2 at revA + 1 at revB
         assert counters["store.hits"] == 1

@@ -76,8 +76,8 @@ class TestAnalyze:
         rc = main(["analyze", str(corpus_dir / "src")])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "stage wall-time:" in out
-        assert "parse" in out and "rank" in out
+        assert "layer self-time:" in out
+        assert "frontend.parse" in out and "core.rank" in out
 
     def test_analyze_missing_directory(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope")])
@@ -95,15 +95,15 @@ class TestTelemetryFlags:
         assert rc == 0
         chrome = json.loads(trace_path.read_text())
         names = {event["name"] for event in chrome["traceEvents"]}
-        assert {"analyze", "parse", "engine", "prune", "rank"} <= names
+        assert {"core.pipeline", "frontend.parse", "engine.run", "core.prune", "core.rank"} <= names
         assert all(event["ph"] == "X" for event in chrome["traceEvents"])
 
     def test_trace_tree_prints_nested_spans(self, corpus_dir, capsys):
         rc = main(["analyze", str(corpus_dir / "src"), "--trace-tree"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "analyze" in out
-        assert "  engine" in out  # indented child span
+        assert "core.pipeline" in out
+        assert "  engine.run" in out  # indented child span
 
     def test_stats_out_appends_jsonl(self, corpus_dir, tmp_path, capsys):
         stats_path = tmp_path / "runs.jsonl"
@@ -118,7 +118,8 @@ class TestTelemetryFlags:
         assert len(records) == 2
         for record in records:
             assert record["converged"] is True
-            assert "counts" in record and "stages" in record and "metrics" in record
+            assert "counts" in record and "layers" in record and "metrics" in record
+            assert "residual" in record
 
     def test_prometheus_exposition(self, corpus_dir, tmp_path, capsys):
         prom_path = tmp_path / "metrics.prom"
@@ -137,8 +138,40 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert rc == 0
         assert "run 0:" in out
-        assert "stage         wall-time" in out
+        assert "layer                   self-time" in out
         assert "pruner               killed" in out
+
+    ENGINE_LAYERS = {"pointer.vfg", "pointer.andersen", "rules.detect", "engine.contribution"}
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_stats_layers_and_residual_add_up_to_wall_time(
+        self, executor, corpus_dir, tmp_path, capsys
+    ):
+        stats_path = tmp_path / "runs.jsonl"
+        rc = main(
+            [
+                "analyze", str(corpus_dir / "src"),
+                "--executor", executor, "--workers", "2", "--no-module-cache",
+                "--stats-out", str(stats_path),
+            ]
+        )
+        assert rc == 0
+        record = json.loads(stats_path.read_text())
+        layers = record["layers"]
+        assert sum(layers.values()) + record["residual"] == pytest.approx(record["seconds"])
+        capsys.readouterr()
+        assert main(["stats", str(stats_path)]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            fields = line.split()
+            if len(fields) == 2 and fields[1].endswith("s"):
+                rows[fields[0]] = float(fields[1][:-1])
+        assert set(rows) == set(layers) | {"residual"}
+        # The printed rows round to milliseconds.
+        assert sum(rows.values()) == pytest.approx(record["seconds"], abs=5e-4 * len(rows))
+        # Process-pool workers ship their spans back: both executors
+        # account for the same engine layers.
+        assert self.ENGINE_LAYERS <= set(layers)
 
     def test_stats_subcommand_missing_file(self, tmp_path, capsys):
         rc = main(["stats", str(tmp_path / "nope.jsonl")])
@@ -174,24 +207,6 @@ class TestTelemetryFlags:
 
 
 class TestProfiling:
-    def test_analyze_profile_out_writes_folded_stacks(self, corpus_dir, tmp_path, capsys):
-        profile_path = tmp_path / "profile.folded"
-        rc = main(
-            [
-                "analyze", str(corpus_dir / "src"),
-                "--profile-out", str(profile_path),
-                "--profile-interval", "0.001",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "wrote folded stacks to" in out
-        assert "phase" in out and "samples" in out  # the phase table
-        text = profile_path.read_text()
-        for line in text.strip().splitlines():
-            stack, _, count = line.rpartition(" ")
-            assert stack and count.isdigit()
-
     def test_profile_command_reports_phases(self, corpus_dir, tmp_path, capsys):
         folded_path = tmp_path / "out.folded"
         rc = main(
@@ -206,8 +221,11 @@ class TestProfiling:
         out = capsys.readouterr().out
         assert rc == 0
         assert "profiled 2 run(s)" in out
-        assert "samples" in out
-        assert folded_path.exists()
+        assert "phase" in out and "samples" in out  # the phase table
+        assert "wrote folded stacks to" in out
+        for line in folded_path.read_text().strip().splitlines():
+            stack, _, count = line.rpartition(" ")
+            assert stack and count.isdigit()
 
     def test_profile_runs_validated(self, corpus_dir, capsys):
         rc = main(["profile", str(corpus_dir / "src"), "--runs", "0"])
