@@ -4,7 +4,8 @@ perfbench times each layer by patching the entry points its
 ``spans.LAYERS`` table names.  Installing the full table imports every
 module and looks up every function and method on it, so a deleted or
 renamed entry point fails here instead of on the next traced benchmark
-run.
+run.  The program's own spans must use the same layer names and the same
+self-time arithmetic, so ``valuecheck stats`` and perfbench agree.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.incremental import IncrementalAnalyzer
+from repro.core.project import Project
+from repro.core.valuecheck import ValueCheck, ValueCheckConfig
+from repro.store import FindingsStore, evaluate_gate, project_sources
+from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -77,12 +83,6 @@ def test_program_span_names_are_perfbench_layers():
     """A traced cold analysis, one incremental step and a store diff plus
     gate record only spans named after perfbench's layers (or request
     hops), so ``valuecheck stats`` and the benchmark share one vocabulary."""
-    from repro.core.incremental import IncrementalAnalyzer
-    from repro.core.project import Project
-    from repro.core.valuecheck import ValueCheck, ValueCheckConfig
-    from repro.store import FindingsStore, evaluate_gate, project_sources
-    from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
-
     spans = _load_spans()
     repo = build_multifile_history([(AUTHOR1, dict(BASE)), (AUTHOR2, {"app.c": EDITED_APP})])
     config = ValueCheckConfig(executor="serial", module_cache=False)
