@@ -26,6 +26,7 @@ Usage::
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from typing import Callable
@@ -118,33 +119,43 @@ class SamplingProfiler:
             self._sample_once(own_ident)
 
     def _sample_once(self, own_ident: int) -> None:
-        frames = sys._current_frames()
-        resolver = self.phase_resolver
-        folded: list[tuple[str, str | None]] = []
-        for ident, frame in frames.items():
-            if ident == own_ident:
-                continue
-            phase = None
-            if resolver is not None:
-                try:
-                    phase = resolver(ident)
-                except Exception:  # noqa: BLE001 — a resolver bug must not kill sampling
-                    phase = None
-            if resolver is not None and phase is None and self.exclude_idle:
-                # Threads outside any span are overwhelmingly parked in
-                # queue/select waits; folding them buries the signal.
-                # They still show up in phases() under IDLE_PHASE.
-                folded.append((None, None))
-                continue
-            folded.append((fold_frame(frame), phase))
-        with self._lock:
-            self._ticks += 1
-            for key, phase in folded:
-                self._samples += 1
-                bucket = phase if phase is not None else IDLE_PHASE
-                self._phase_samples[bucket] = self._phase_samples.get(bucket, 0) + 1
-                if key is not None:
-                    self._stacks[key] = self._stacks.get(key, 0) + 1
+        # No automatic GC while other threads' frames are in hand: on
+        # CPython 3.11 a collection inside sys._current_frames() can
+        # deadlock the process (CPython gh-106883), and one during the
+        # f_back walk can crash it.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            frames = sys._current_frames()
+            resolver = self.phase_resolver
+            folded: list[tuple[str | None, str | None]] = []
+            for ident, frame in frames.items():
+                if ident == own_ident:
+                    continue
+                phase = None
+                if resolver is not None:
+                    try:
+                        phase = resolver(ident)
+                    except Exception:  # noqa: BLE001 — a resolver bug must not kill sampling
+                        phase = None
+                if resolver is not None and phase is None and self.exclude_idle:
+                    # Threads outside any span are overwhelmingly parked in
+                    # queue/select waits; folding them buries the signal.
+                    # They still show up in phases() under IDLE_PHASE.
+                    folded.append((None, None))
+                    continue
+                folded.append((fold_frame(frame), phase))
+            with self._lock:
+                self._ticks += 1
+                for key, phase in folded:
+                    self._samples += 1
+                    bucket = phase if phase is not None else IDLE_PHASE
+                    self._phase_samples[bucket] = self._phase_samples.get(bucket, 0) + 1
+                    if key is not None:
+                        self._stacks[key] = self._stacks.get(key, 0) + 1
+        finally:
+            if gc_enabled:
+                gc.enable()
 
     def sample_now(self) -> None:
         """Take one sample synchronously (deterministic tests; no thread)."""

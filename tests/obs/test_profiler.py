@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -82,6 +83,34 @@ class TestSampling:
     def test_interval_validated(self):
         with pytest.raises(ValueError):
             SamplingProfiler(interval=0.0)
+
+    def test_collection_paused_while_frames_are_in_hand(self):
+        # A collection inside sys._current_frames() can deadlock CPython
+        # 3.11, so the resolver (called mid-walk) must see GC off; the
+        # sampler restores whatever state it found.
+        seen = []
+
+        def resolver(ident):
+            seen.append(gc.isenabled())
+            return "phase"
+
+        stop = threading.Event()
+        thread = _spin_in("gc_marker_fn", stop)
+        was_enabled = gc.isenabled()
+        try:
+            profiler = SamplingProfiler(interval=0.01, phase_resolver=resolver)
+            gc.enable()
+            profiler.sample_now()
+            assert seen and not any(seen)
+            assert gc.isenabled()
+            gc.disable()
+            profiler.sample_now()
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+            stop.set()
+            thread.join()
 
 
 class TestPhaseAttribution:
