@@ -45,8 +45,8 @@ Subcommands::
         Send one request to a running daemon and print the response.
 
     valuecheck profile <dir> [--runs N] [--interval S] [--out FILE]
-        Run the analysis under the sampling profiler and print per-phase
-        CPU attribution; --out writes flamegraph folded stacks.
+        Run the analysis under the tracer and the sampling profiler and
+        print layer self times; --out writes flamegraph folded stacks.
 
     valuecheck events [--follow] [--since N] [--kind K]
         Stream a running daemon's lifecycle event journal.
@@ -454,8 +454,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run the pipeline under the sampling profiler and report where the
-    CPU goes, per pipeline phase (innermost open span)."""
+    """Run the pipeline under the tracer and the sampling profiler:
+    print where the time went per layer (span self times, the same table
+    as ``valuecheck stats``); ``--out`` writes the sampled stacks."""
     if args.runs < 1:
         print("error: --runs must be at least 1", file=sys.stderr)
         return 2
@@ -472,14 +473,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("error: no .c files found", file=sys.stderr)
         return 2
     telemetry = obs.Telemetry.fresh()
-    profiler = obs.SamplingProfiler(
-        interval=args.interval, phase_resolver=telemetry.tracer.active_name
-    )
+    profiler = obs.SamplingProfiler(interval=args.interval)
     config = ValueCheckConfig(
         use_authorship=repo is not None,
         executor=args.executor,
         module_cache=False,  # cached runs sample nothing; profile real work
     )
+    started = obs.monotonic()
     with obs.use(telemetry), profiler:
         for _ in range(args.runs):
             project = Project.from_sources(
@@ -489,13 +489,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 build_config=set(args.config or ()),
             )
             ValueCheck(config).analyze(project)
+    wall = obs.monotonic() - started
     stats = profiler.stats()
+    layers = telemetry.tracer.self_times()
     print(
         f"profiled {args.runs} run(s): {stats['samples']} samples over "
         f"{stats['active_seconds']:.2f}s at {args.interval * 1e3:.1f}ms intervals"
     )
     print()
-    print(profiler.render_phases(), end="")
+    print("\n".join(obs.layer_table(layers, wall - sum(layers.values()))))
     if args.out:
         Path(args.out).write_text(profiler.render_folded())
         print(f"\nwrote folded stacks to {args.out} (feed to flamegraph.pl/speedscope)")
@@ -560,11 +562,44 @@ def _sparkline(series: list, width: int = 24) -> str:
     )
 
 
-def _render_cluster_top(stats: dict) -> str:
-    """The cluster mode of `valuecheck top`: per-shard rows + heatmaps
-    from the router's scrape-loop time series."""
+#: Rate samples kept per shard for the `top` sparklines.
+_RATE_HISTORY = 24
+
+
+def _shard_rates(previous: dict | None, stats: dict) -> dict:
+    """Requests per second per shard between two router ``stats`` polls:
+    the change in each worker's ``requests_forwarded`` over the change in
+    the router's uptime.  No earlier poll means no rates yet; a counter
+    that dropped (the slot respawned) is a reset, so its rate is 0."""
+    if previous is None:
+        return {}
     health = stats.get("health") or {}
-    timeseries = (stats.get("timeseries") or {}).get("sources", {})
+    before = previous.get("health") or {}
+    elapsed = health.get("uptime_seconds", 0.0) - before.get("uptime_seconds", 0.0)
+    if elapsed <= 0:
+        return {}
+    counts = {
+        worker.get("slot"): worker.get("requests_forwarded", 0)
+        for worker in before.get("workers", ())
+    }
+    rates = {}
+    for worker in health.get("workers", ()):
+        slot = worker.get("slot")
+        if slot not in counts:
+            continue
+        delta = worker.get("requests_forwarded", 0) - counts[slot]
+        rates[slot] = delta / elapsed if delta >= 0 else 0.0
+    return rates
+
+
+def _render_cluster_top(stats: dict, previous: dict | None, history: dict) -> str:
+    """The cluster mode of `valuecheck top`: per-shard rows + heatmaps.
+    Request rates come from this poll and the ``previous`` one;
+    ``history`` (slot -> recent rates) is extended in place."""
+    health = stats.get("health") or {}
+    rates = _shard_rates(previous, stats)
+    for slot, rate in rates.items():
+        history[slot] = (history.get(slot, []) + [rate])[-_RATE_HISTORY:]
     lines = [
         f"valuecheck cluster  status={health.get('status', '?')}  "
         f"workers={health.get('alive_workers', 0)}/{len(health.get('workers', ()))}  "
@@ -585,30 +620,28 @@ def _render_cluster_top(stats: dict) -> str:
     lines.append("slot  gen  status        sess  queue  forwarded   req/s    burn")
     for worker in health.get("workers", ()):
         slot = worker.get("slot", "?")
-        source = timeseries.get(f"worker-{slot}", {})
-        rates = source.get("rates", {})
+        rate = rates.get(slot)
         lines.append(
             f"  {slot!s:<4}{worker.get('generation', 0):>3}  "
             f"{worker.get('status', '?'):<12}"
             f"{worker.get('sessions', 0) or 0:>6}"
             f"{worker.get('queue_depth', 0) or 0:>7}"
             f"{worker.get('requests_forwarded', 0):>11}"
-            f"{rates.get('service.requests', 0.0):>8.2f}"
+            f"{(f'{rate:.2f}' if rate is not None else '--'):>8}"
             f"{worker.get('burn_rate', 0.0):>8.2f}"
         )
-    # Per-shard request-rate heatmap over the scrape window, plus the
-    # session heatmap: how warm state is spread across the shards.
-    heat = [
-        (worker.get("slot", 0), timeseries.get(f"worker-{worker.get('slot')}", {}))
-        for worker in health.get("workers", ())
-    ]
-    if any(source.get("series") for _slot, source in heat):
-        lines.append("")
-        lines.append("shard req/s heatmap (oldest → newest scrape):")
-        for slot, source in heat:
-            series = source.get("series") or []
+    # Per-shard request-rate heatmap over this dashboard's polls, plus
+    # the session heatmap: how warm state is spread across the shards.
+    lines.append("")
+    if rates:
+        lines.append("shard req/s heatmap (oldest → newest poll):")
+        for worker in health.get("workers", ()):
+            slot = worker.get("slot", 0)
+            series = history.get(slot, [])
             rate = series[-1] if series else 0.0
             lines.append(f"  {slot!s:<4}{_sparkline(series):<26}{rate:>8.2f}/s")
+    else:
+        lines.append("shard req/s: no rate yet (needs two polls)")
     sessions = [
         (worker.get("slot", 0), int(worker.get("sessions") or 0))
         for worker in health.get("workers", ())
@@ -636,10 +669,11 @@ def _render_cluster_top(stats: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_top(stats: dict) -> str:
-    """One refresh of the `valuecheck top` dashboard from a stats response."""
+def _render_top(stats: dict, previous: dict | None, history: dict) -> str:
+    """One refresh of the `valuecheck top` dashboard from a stats response
+    (``previous`` and ``history`` feed the cluster mode's shard rates)."""
     if stats.get("role") == "router":
-        return _render_cluster_top(stats)
+        return _render_cluster_top(stats, previous, history)
     health = stats.get("health", {})
     lines = [
         f"valuecheck service  status={health.get('status', '?')}  "
@@ -660,21 +694,16 @@ def _render_top(stats: dict) -> str:
         )
     journal = health.get("journal", {})
     traces = health.get("traces", {})
-    profiler = health.get("profiler", {})
     lines.append("")
     lines.append(
         f"journal {journal.get('retained', 0)}/{journal.get('capacity', 0)} "
         f"(dropped {journal.get('dropped', 0)})   "
-        f"traces {traces.get('retained', 0)}/{traces.get('capacity', 0)}   "
-        f"profiler {'on' if profiler.get('running') else 'off'} "
-        f"({profiler.get('samples', 0)} samples)"
+        f"traces {traces.get('retained', 0)}/{traces.get('capacity', 0)}"
     )
-    phases = stats.get("profile_phases") or {}
-    if phases:
+    layers = stats.get("layers") or {}
+    if layers:
         lines.append("")
-        lines.append("phase seconds (sampled):")
-        for phase, seconds in sorted(phases.items(), key=lambda kv: -kv[1])[:8]:
-            lines.append(f"  {phase:<24}{seconds:>9.3f}")
+        lines.extend(obs.layer_table(layers))
     sessions = stats.get("sessions") or []
     if sessions:
         lines.append("")
@@ -695,6 +724,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient, ServiceError
 
     shown = 0
+    previous: dict | None = None
+    history: dict = {}
     while True:
         try:
             with ServiceClient(host=args.host, port=args.port) as client:
@@ -710,7 +741,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 1
         if shown and sys.stdout.isatty():
             print("\x1b[2J\x1b[H", end="")  # clear + home between refreshes
-        print(_render_top(stats), end="")
+        print(_render_top(stats, previous, history), end="")
+        previous = stats
         shown += 1
         if args.iterations is not None and shown >= args.iterations:
             return 0
@@ -720,10 +752,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceConfig, serve_stdio
-
+def _service_config(args: argparse.Namespace):
+    """The ``serve`` flags as a :class:`ServiceConfig`."""
     from repro.obs import DEFAULT_SLOS, SloConfig
+    from repro.service import ServiceConfig
 
     slos = DEFAULT_SLOS
     if args.slo_target is not None or args.slo_error_budget is not None:
@@ -742,7 +774,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 window_seconds=base.window_seconds,
             ),
         ) + DEFAULT_SLOS[1:]
-    config = ServiceConfig(
+    return ServiceConfig(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
         request_timeout=args.request_timeout,
@@ -751,9 +783,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         journal_path=args.journal,
         slos=slos,
-        profiler=not args.no_profiler,
-        profile_interval=args.profile_interval,
     )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import serve_stdio
+
+    config = _service_config(args)
     if args.stdio:
         service = serve_stdio(config)
     else:
@@ -785,9 +821,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.service import Router, RouterConfig, ServiceServer, WorkerSpec
-    from repro.service.server import install_signal_handlers
+def _router_config(args: argparse.Namespace):
+    """The ``route`` flags as a :class:`RouterConfig`."""
+    from repro.service import RouterConfig, WorkerSpec
 
     spec = WorkerSpec(
         threads=args.worker_threads,
@@ -797,17 +833,22 @@ def _cmd_route(args: argparse.Namespace) -> int:
         max_session_loc=args.max_session_loc,
         executor=args.executor,
     )
-    config = RouterConfig(
+    return RouterConfig(
         workers=args.workers,
         spec=spec,
         vnodes=args.vnodes,
         probe_interval=args.probe_interval,
         probe_timeout=args.probe_timeout,
         journal_path=args.journal,
-        telemetry=not args.no_telemetry,
-        scrape_interval=args.scrape_interval,
         trace_capacity=args.trace_capacity,
     )
+
+
+def _cmd_route(args: argparse.Namespace) -> int:
+    from repro.service import Router, ServiceServer
+    from repro.service.server import install_signal_handlers
+
+    config = _router_config(args)
     router = Router(config).start()
     install_signal_handlers(router)  # SIGTERM drains workers, then exits
     server = ServiceServer(router, host=args.host, port=args.port)
@@ -867,6 +908,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service import RouterConfig, ServiceConfig, WorkerSpec
+
     parser = argparse.ArgumentParser(
         prog="valuecheck",
         description="ValueCheck reproduction: bug detection from cross-scope unused definitions",
@@ -952,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser(
         "profile",
-        help="run the analysis under the sampling profiler (per-phase CPU attribution)",
+        help="run the analysis under the sampling profiler (layer self times, folded stacks)",
     )
     profile.add_argument("directory")
     profile.add_argument("--repo", help="MiniGit repo.json for authorship + ranking")
@@ -1087,33 +1130,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve one request stream over stdin/stdout instead of TCP",
     )
     serve.add_argument(
-        "--workers", type=positive_int, default=2, help="request worker threads"
+        "--workers",
+        type=positive_int,
+        default=ServiceConfig.workers,
+        help="request worker threads",
     )
     serve.add_argument(
         "--queue-capacity",
         type=int,
-        default=16,
+        default=ServiceConfig.queue_capacity,
         help="bounded request queue depth (overflow → queue_full + retry_after)",
     )
     serve.add_argument(
         "--request-timeout",
         type=float,
-        default=120.0,
+        default=ServiceConfig.request_timeout,
         help="per-request deadline in seconds (queue wait + execution)",
     )
     serve.add_argument(
-        "--max-sessions", type=int, default=8, help="LRU cap on warm projects"
+        "--max-sessions",
+        type=int,
+        default=ServiceConfig.max_sessions,
+        help="LRU cap on warm projects",
     )
     serve.add_argument(
         "--max-session-loc",
         type=int,
-        default=None,
+        default=ServiceConfig.max_session_loc,
         help="approximate memory cap: total warm LOC before LRU eviction",
     )
     serve.add_argument(
         "--executor",
         choices=EXECUTOR_KINDS,
-        default="serial",
+        default=ServiceConfig.executor,
         help="engine executor used inside each request",
     )
     serve.add_argument(
@@ -1127,17 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--journal",
         help="mirror the lifecycle event journal to this JSONL file",
-    )
-    serve.add_argument(
-        "--no-profiler",
-        action="store_true",
-        help="disable the always-on sampling profiler",
-    )
-    serve.add_argument(
-        "--profile-interval",
-        type=float,
-        default=0.01,
-        help="profiler sampling interval in seconds (default: 0.01)",
     )
     serve.add_argument(
         "--slo-target",
@@ -1160,60 +1198,67 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--host", default="127.0.0.1")
     route.add_argument("--port", type=int, default=7432, help="TCP port (0 = pick free)")
     route.add_argument(
-        "--workers", type=positive_int, default=4, help="worker processes in the pool"
+        "--workers",
+        type=positive_int,
+        default=RouterConfig.workers,
+        help="worker processes in the pool",
     )
     route.add_argument(
         "--worker-threads",
         type=positive_int,
-        default=2,
+        default=WorkerSpec.threads,
         help="request threads per worker",
     )
     route.add_argument(
-        "--queue-capacity", type=int, default=16, help="request queue depth per worker"
+        "--queue-capacity",
+        type=int,
+        default=WorkerSpec.queue_capacity,
+        help="request queue depth per worker",
     )
-    route.add_argument("--request-timeout", type=float, default=120.0)
     route.add_argument(
-        "--max-sessions", type=int, default=8, help="LRU warm-project cap per worker"
+        "--request-timeout", type=float, default=WorkerSpec.request_timeout
     )
-    route.add_argument("--max-session-loc", type=int, default=None)
+    route.add_argument(
+        "--max-sessions",
+        type=int,
+        default=WorkerSpec.max_sessions,
+        help="LRU warm-project cap per worker",
+    )
+    route.add_argument(
+        "--max-session-loc", type=int, default=WorkerSpec.max_session_loc
+    )
     route.add_argument(
         "--executor",
         choices=EXECUTOR_KINDS,
-        default="serial",
+        default=WorkerSpec.executor,
         help="engine executor inside each worker",
     )
     route.add_argument(
-        "--vnodes", type=int, default=64, help="virtual nodes per ring slot"
+        "--vnodes",
+        type=int,
+        default=RouterConfig.vnodes,
+        help="virtual nodes per ring slot",
     )
     route.add_argument(
         "--probe-interval",
         type=float,
-        default=2.0,
+        default=RouterConfig.probe_interval,
         help="seconds between worker health probes (0 disables probing)",
     )
     route.add_argument(
-        "--probe-timeout", type=float, default=5.0, help="health probe deadline"
+        "--probe-timeout",
+        type=float,
+        default=RouterConfig.probe_timeout,
+        help="health probe deadline",
     )
     route.add_argument(
         "--journal", help="mirror the router's event journal to this JSONL file"
     )
     route.add_argument(
-        "--scrape-interval",
-        type=float,
-        default=2.0,
-        help="seconds between per-worker metrics scrapes into the "
-        "time-series ring (0 disables the scrape loop)",
-    )
-    route.add_argument(
         "--trace-capacity",
         type=int,
-        default=256,
+        default=RouterConfig.trace_capacity,
         help="router-side trace ring size (forward-hop spans)",
-    )
-    route.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable per-request router spans and span-context propagation",
     )
     route.set_defaults(func=_cmd_route)
 

@@ -13,10 +13,13 @@ The subsystem has three parts (all stdlib-only):
 
 On top sit the *operational* modules the analysis service uses:
 :mod:`repro.obs.journal` (bounded lifecycle event log),
-:mod:`repro.obs.profiler` (always-on sampling profiler with per-phase
-attribution), :mod:`repro.obs.slo` (sliding-window latency/error-budget
-tracking behind ``health``) and :mod:`repro.obs.tracestore` (the ring of
-completed per-request traces behind the ``trace`` request).
+:mod:`repro.obs.slo` (sliding-window latency/error-budget tracking
+behind ``health``), :mod:`repro.obs.tracestore` (the ring of completed
+per-request traces behind the ``trace`` request, whose summed self
+times are ``stats.layers``) and :mod:`repro.obs.stitch` (one
+cross-process timeline from the router's and workers' records).
+:mod:`repro.obs.profiler` is the sampling profiler behind
+``valuecheck profile``'s flamegraph stacks.
 
 Instrumentation sites use the **ambient telemetry** established with
 :func:`use`::
@@ -63,8 +66,9 @@ from repro.obs.provenance import (
     render_record,
     render_records,
 )
-from repro.obs.profiler import IDLE_PHASE, SamplingProfiler, fold_frame
+from repro.obs.profiler import SamplingProfiler, fold_frame
 from repro.obs.sinks import (
+    layer_table,
     read_jsonl,
     render_stats_table,
     rule_candidates,
@@ -74,7 +78,6 @@ from repro.obs.sinks import (
 )
 from repro.obs.slo import DEFAULT_SLOS, SloConfig, SloTracker, build_trackers
 from repro.obs.stitch import TracePart, make_part, stitch, stitch_chrome
-from repro.obs.timeseries import MetricsHistory, Sample
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.obs.tracestore import TraceRecord, TraceStore
 
@@ -157,15 +160,12 @@ __all__ = [
     "DEFAULT_SLOS",
     "Event",
     "EventJournal",
-    "IDLE_PHASE",
     "METRICS_SCHEMA_VERSION",
-    "MetricsHistory",
     "MetricsRegistry",
     "PROVENANCE_SCHEMA_VERSION",
     "ProvenanceLog",
     "ProvenanceRecord",
     "PrunerVerdict",
-    "Sample",
     "SamplingProfiler",
     "SloConfig",
     "SloTracker",
@@ -180,6 +180,7 @@ __all__ = [
     "current",
     "fold_frame",
     "detection_record",
+    "layer_table",
     "make_part",
     "metric_key",
     "metrics",

@@ -1,27 +1,20 @@
-"""Always-on sampling profiler: folded stacks from ``sys._current_frames()``.
+"""Sampling profiler: folded stacks from ``sys._current_frames()``.
 
 A single daemon thread wakes every ``interval`` seconds, snapshots every
 other thread's Python stack, and folds each one into a
 ``outer;...;inner`` key with a hit count — the flamegraph input format
 (`flamegraph.pl`, speedscope, inferno all eat it directly).  Stdlib
-only, no signals (safe on worker threads and inside a daemon), and
-cheap enough to leave running: the sampled threads pay nothing, the
-sampler pays one stack walk per thread per tick.
-
-Per-phase attribution rides on the span tracer: when a ``phase_resolver``
-is given (usually :meth:`Tracer.active_name`), each sample is also
-bucketed under whatever span the sampled thread had open — so
-``profile.phases()`` answers "where does daemon CPU actually go:
-andersen, parse, rank, or idle?" without any per-sample bookkeeping in
-the pipeline itself.
+only, no signals: the sampled threads pay nothing, the sampler pays one
+stack walk per thread per tick.  ``valuecheck profile`` runs it for
+function-level flamegraphs; "which layer did the time go to" is the
+span tracer's self times (:func:`repro.obs.trace.self_times`).
 
 Usage::
 
-    profiler = SamplingProfiler(interval=0.005, phase_resolver=tracer.active_name)
+    profiler = SamplingProfiler(interval=0.005)
     with profiler:
         run_the_workload()
     Path("profile.folded").write_text(profiler.render_folded())
-    print(profiler.phases())          # {"pointer.andersen": 812, ...}
 """
 
 from __future__ import annotations
@@ -29,16 +22,11 @@ from __future__ import annotations
 import gc
 import sys
 import threading
-from typing import Callable
-
 from repro.obs.clock import monotonic
 
 #: Frames deeper than this are truncated (folded keys stay bounded even
 #: under pathological recursion).
 MAX_STACK_DEPTH = 64
-
-#: Phase bucket for samples taken while the thread has no span open.
-IDLE_PHASE = "<no-span>"
 
 
 def fold_frame(frame) -> str:
@@ -56,20 +44,12 @@ def fold_frame(frame) -> str:
 class SamplingProfiler:
     """Sampler thread over ``sys._current_frames()`` with folded output."""
 
-    def __init__(
-        self,
-        interval: float = 0.005,
-        phase_resolver: Callable[[int], str | None] | None = None,
-        exclude_idle: bool = True,
-    ):
+    def __init__(self, interval: float = 0.005):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.phase_resolver = phase_resolver
-        self.exclude_idle = exclude_idle
         self._lock = threading.Lock()
         self._stacks: dict[str, int] = {}
-        self._phase_samples: dict[str, int] = {}
         self._samples = 0
         self._ticks = 0
         self._started_at: float | None = None
@@ -127,32 +107,16 @@ class SamplingProfiler:
         gc.disable()
         try:
             frames = sys._current_frames()
-            resolver = self.phase_resolver
-            folded: list[tuple[str | None, str | None]] = []
-            for ident, frame in frames.items():
-                if ident == own_ident:
-                    continue
-                phase = None
-                if resolver is not None:
-                    try:
-                        phase = resolver(ident)
-                    except Exception:  # noqa: BLE001 — a resolver bug must not kill sampling
-                        phase = None
-                if resolver is not None and phase is None and self.exclude_idle:
-                    # Threads outside any span are overwhelmingly parked in
-                    # queue/select waits; folding them buries the signal.
-                    # They still show up in phases() under IDLE_PHASE.
-                    folded.append((None, None))
-                    continue
-                folded.append((fold_frame(frame), phase))
+            folded = [
+                fold_frame(frame)
+                for ident, frame in frames.items()
+                if ident != own_ident
+            ]
             with self._lock:
                 self._ticks += 1
-                for key, phase in folded:
-                    self._samples += 1
-                    bucket = phase if phase is not None else IDLE_PHASE
-                    self._phase_samples[bucket] = self._phase_samples.get(bucket, 0) + 1
-                    if key is not None:
-                        self._stacks[key] = self._stacks.get(key, 0) + 1
+                self._samples += len(folded)
+                for key in folded:
+                    self._stacks[key] = self._stacks.get(key, 0) + 1
         finally:
             if gc_enabled:
                 gc.enable()
@@ -175,18 +139,6 @@ class SamplingProfiler:
             rows = sorted(self._stacks.items(), key=lambda kv: (-kv[1], kv[0]))
         return "".join(f"{stack} {count}\n" for stack, count in rows)
 
-    def phases(self) -> dict[str, int]:
-        """Span-name -> sample count (the per-phase CPU attribution)."""
-        with self._lock:
-            return dict(self._phase_samples)
-
-    def phase_seconds(self) -> dict[str, float]:
-        """Approximate wall-time per phase: samples x interval."""
-        return {
-            phase: round(count * self.interval, 6)
-            for phase, count in self.phases().items()
-        }
-
     def stats(self) -> dict:
         with self._lock:
             active = self._active_seconds
@@ -200,17 +152,3 @@ class SamplingProfiler:
                 "distinct_stacks": len(self._stacks),
                 "active_seconds": round(active, 6),
             }
-
-    def render_phases(self) -> str:
-        """Human-readable per-phase attribution table."""
-        phases = self.phases()
-        total = sum(phases.values())
-        if not total:
-            return "no samples recorded\n"
-        lines = ["phase                     samples   share   ~seconds"]
-        for phase, count in sorted(phases.items(), key=lambda kv: (-kv[1], kv[0])):
-            lines.append(
-                f"  {phase:<24}{count:>7}  {count / total:>6.1%}  "
-                f"{count * self.interval:>9.3f}"
-            )
-        return "\n".join(lines) + "\n"

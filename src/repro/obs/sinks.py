@@ -102,6 +102,18 @@ def _fmt_seconds(value: float | None) -> str:
     return f"{value:.3f}" if value is not None else "—"
 
 
+def layer_table(layers: dict[str, float], residual: float | None = None) -> list[str]:
+    """Self seconds per layer, largest first, plus the residual when
+    given — the one "where did the time go" table (``valuecheck stats``,
+    ``profile`` and ``top`` all print it)."""
+    lines = ["  layer                   self-time"]
+    for name, seconds in sorted(layers.items(), key=lambda item: (-item[1], item[0])):
+        lines.append(f"    {name:<22}{seconds:9.3f}s")
+    if residual is not None:
+        lines.append(f"    {'residual':<22}{residual:9.3f}s")
+    return lines
+
+
 def render_stats_table(records: list[dict]) -> str:
     """The ``valuecheck stats`` table over JSONL run records."""
     if not records:
@@ -123,10 +135,7 @@ def render_stats_table(records: list[dict]) -> str:
         )
         layers = record.get("layers", {})
         if layers:
-            parts.append("  layer                   self-time")
-            for name, seconds in sorted(layers.items(), key=lambda item: (-item[1], item[0])):
-                parts.append(f"    {name:<22}{seconds:9.3f}s")
-            parts.append(f"    {'residual':<22}{record.get('residual', 0.0):9.3f}s")
+            parts.extend(layer_table(layers, record.get("residual", 0.0)))
         # Per-pruner kills come from the provenance aggregates when the
         # record carries them (the verdicts are the source of truth the
         # kill counters are derived from); older records fall back to the

@@ -16,8 +16,8 @@ tracks out.  Process-pool workers record into a tracer of their own and
 ship its spans back; the engine grafts them under its ``engine.run``
 span (see :mod:`repro.engine.worker`).
 
-:meth:`Tracer.self_times` answers "where did the time go": per span
-name, the time spent in that span and in none of its children.
+:func:`self_times` answers "where did the time go": per span name, the
+time spent in that span and in none of its children.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.obs.clock import monotonic, wall_clock
 
@@ -76,12 +76,6 @@ class Tracer:
         self._stacks = threading.local()
         # Stable small ints per OS thread id, in order of first appearance.
         self._thread_ids: dict[int, int] = {}
-        # Open-span stacks keyed by OS thread ident, readable from *other*
-        # threads (the sampling profiler attributes samples to whatever
-        # span the sampled thread currently has open).  The thread-local
-        # `_stacks` stays the fast path for parent lookup; this mirror is
-        # maintained under the lock on every push/pop.
-        self._active: dict[int, list[Span]] = {}
 
     # -- recording -------------------------------------------------------
 
@@ -118,9 +112,6 @@ class Tracer:
             attrs=dict(attrs),
         )
         stack.append(record)
-        ident = threading.get_ident()
-        with self._lock:
-            self._active.setdefault(ident, []).append(record)
         try:
             yield record
         finally:
@@ -128,11 +119,6 @@ class Tracer:
             record.end = monotonic() - self.epoch
             with self._lock:
                 self._spans.append(record)
-                open_stack = self._active.get(ident)
-                if open_stack:
-                    open_stack.pop()
-                    if not open_stack:
-                        del self._active[ident]
 
     def add_span(
         self,
@@ -171,19 +157,6 @@ class Tracer:
         """Seconds since the tracer epoch (the `start` of a span opened now)."""
         return monotonic() - self.epoch
 
-    def active_name(self, ident: int | None = None) -> str | None:
-        """The innermost open span name on a thread (default: this one).
-
-        Safe to call from any thread — this is how the sampling profiler
-        attributes a stack sample to the pipeline phase the sampled
-        thread is currently inside.
-        """
-        if ident is None:
-            ident = threading.get_ident()
-        with self._lock:
-            stack = self._active.get(ident)
-            return stack[-1].name if stack else None
-
     # -- views -----------------------------------------------------------
 
     def spans(self) -> list[Span]:
@@ -194,25 +167,8 @@ class Tracer:
         return {span.name for span in self.spans()}
 
     def self_times(self) -> dict[str, float]:
-        """Seconds of self time per span name.
-
-        A span's self time is its duration minus the union of its direct
-        children's intervals (clipped to the span), so parallel children
-        count once and nested spans never count twice.  Summed over every
-        name, self times add up to the duration of the root spans.
-        """
-        spans = self.spans()
-        children: dict[int | None, list[tuple[float, float]]] = {}
-        for span in spans:
-            children.setdefault(span.parent_id, []).append((span.start, span.end))
-        totals: dict[str, float] = {}
-        for span in spans:
-            covered = _union_length(
-                (max(start, span.start), min(end, span.end))
-                for start, end in children.get(span.span_id, ())
-            )
-            totals[span.name] = totals.get(span.name, 0.0) + span.seconds - covered
-        return totals
+        """Seconds of self time per span name (see :func:`self_times`)."""
+        return self_times(self.spans())
 
     def children_of(self, span_id: int | None) -> list[Span]:
         return sorted(
@@ -252,6 +208,29 @@ class Tracer:
         for root in self.children_of(None):
             emit(root, 0)
         return "\n".join(lines)
+
+
+def self_times(spans: Iterable[Span]) -> dict[str, float]:
+    """Seconds of self time per span name over one tracer's spans.
+
+    A span's self time is its duration minus the union of its direct
+    children's intervals (clipped to the span), so parallel children
+    count once and nested spans never count twice.  Summed over every
+    name, self times add up to the duration of the root spans.  Span ids
+    are per tracer: spans from several tracers are summed per tracer.
+    """
+    spans = list(spans)
+    children: dict[int | None, list[tuple[float, float]]] = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append((span.start, span.end))
+    totals: dict[str, float] = {}
+    for span in spans:
+        covered = _union_length(
+            (max(start, span.start), min(end, span.end))
+            for start, end in children.get(span.span_id, ())
+        )
+        totals[span.name] = totals.get(span.name, 0.0) + span.seconds - covered
+    return totals
 
 
 def _union_length(intervals) -> float:

@@ -13,12 +13,13 @@ evictions are counted, and lookup of an evicted trace is a clean
 
 **Tail-based retention.**  The traces worth debugging are precisely the
 ones a busy ring would churn out first: the slow outliers and the
-errors.  A store constructed with ``pin_slow_seconds``/``pin_errors``
-*pins* qualifying records — eviction skips pinned entries and removes
-the oldest unpinned record instead.  Pins are themselves bounded
-(``pin_capacity``, default a quarter of the ring): when full, the
-oldest pin is released back into the normal eviction order, so the
-store's total footprint never exceeds ``capacity`` records.
+errors.  By default the store *pins* errored records and those that
+took at least ``pin_slow_seconds`` (5 s) — eviction skips pinned
+entries and removes the oldest unpinned record instead.  Pins are
+themselves bounded (``pin_capacity``, default a quarter of the ring):
+when full, the oldest pin is released back into the normal eviction
+order, so the store's total footprint never exceeds ``capacity``
+records.
 
 ``to_chrome()`` renders any subset of stored traces into one Chrome
 trace-event JSON where **every (request, thread) pair gets its own
@@ -28,6 +29,9 @@ overprinting each other.  Thread-name metadata events label each track
 with the request id and span-thread it came from.  Multi-process
 stitched exports live in :mod:`repro.obs.stitch`, which assigns one
 ``pid`` per process on top of this per-track layout.
+
+``self_times()`` is the daemon's answer to "where did the time go": the
+self time per span name, summed over every retained record.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.obs.clock import wall_clock
-from repro.obs.trace import Span, chrome_event, thread_name_event
+from repro.obs.trace import Span, chrome_event, self_times, thread_name_event
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,8 @@ class TraceStore:
     def __init__(
         self,
         capacity: int = 256,
-        pin_slow_seconds: float | None = None,
-        pin_errors: bool = False,
+        pin_slow_seconds: float | None = 5.0,
+        pin_errors: bool = True,
         pin_capacity: int | None = None,
     ):
         if capacity < 1:
@@ -186,6 +190,18 @@ class TraceStore:
                 stats["pin_capacity"] = self.pin_capacity
                 stats["pinned_total"] = self._pinned_total
             return stats
+
+    def self_times(self) -> dict[str, float]:
+        """Seconds of self time per span name over the retained records.
+
+        Computed per record, then summed: span ids restart in every
+        request's tracer, so one record's ids say nothing about another's.
+        """
+        totals: dict[str, float] = {}
+        for record in self.records():
+            for name, seconds in self_times(record.spans).items():
+                totals[name] = totals.get(name, 0.0) + seconds
+        return totals
 
     # -- export ----------------------------------------------------------
 

@@ -40,7 +40,6 @@ from repro.engine import DEFAULT_CACHE, EXECUTOR_KINDS
 from repro.obs import (
     DEFAULT_SLOS,
     EventJournal,
-    SamplingProfiler,
     SloConfig,
     TraceRecord,
     TraceStore,
@@ -76,16 +75,9 @@ class ServiceConfig:
     engine_workers: int | None = None
     # Operational layer (see docs/OBSERVABILITY.md):
     trace_capacity: int = 256  # completed request traces retained
-    # Tail-based trace retention: pin slow/errored traces in the ring so
-    # load never evicts the traces worth looking at.  None disables the
-    # slow pin; errors are pinned by default.
-    trace_pin_slow_seconds: float | None = 5.0
-    trace_pin_errors: bool = True
     journal_capacity: int = 2048  # lifecycle events retained in the ring
     journal_path: str | None = None  # optional JSONL mirror of the journal
     slos: tuple[SloConfig, ...] = DEFAULT_SLOS
-    profiler: bool = True  # always-on sampling profiler
-    profile_interval: float = 0.01  # sampler tick, seconds
 
     def __post_init__(self) -> None:
         # With no worker thread the daemon answers only the inline
@@ -128,27 +120,14 @@ class AnalysisService:
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.telemetry = obs.Telemetry.fresh()
-        self.metrics = self.telemetry.metrics
+        self.metrics = obs.MetricsRegistry()
         self.journal = EventJournal(
             capacity=self.config.journal_capacity,
             sink_path=self.config.journal_path,
         )
-        self.traces = TraceStore(
-            capacity=self.config.trace_capacity,
-            pin_slow_seconds=self.config.trace_pin_slow_seconds,
-            pin_errors=self.config.trace_pin_errors,
-        )
+        # Tail-retained: slow and errored traces are pinned in the ring.
+        self.traces = TraceStore(capacity=self.config.trace_capacity)
         self.slos = build_trackers(tuple(self.config.slos))
-        # OS thread ident -> the per-request tracer currently running on
-        # that worker thread; the profiler resolves samples to pipeline
-        # phases through this registry.
-        self._tracer_lock = threading.Lock()
-        self._request_tracers: dict[int, Tracer] = {}
-        self.profiler = SamplingProfiler(
-            interval=self.config.profile_interval,
-            phase_resolver=self._profiler_phase,
-        )
         self.sessions = SessionManager(
             max_sessions=self.config.max_sessions,
             max_total_loc=self.config.max_session_loc,
@@ -180,17 +159,6 @@ class AnalysisService:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _profiler_phase(self, ident: int) -> str | None:
-        """Resolve a sampled thread to its current pipeline phase: the
-        innermost open span of the request that thread is serving."""
-        with self._tracer_lock:
-            tracer = self._request_tracers.get(ident)
-        if tracer is not None:
-            name = tracer.active_name(ident)
-            if name is not None:
-                return name
-        return self.telemetry.tracer.active_name(ident)
-
     def start(self) -> "AnalysisService":
         with self._state_lock:
             if self._threads:
@@ -202,13 +170,10 @@ class AnalysisService:
                 )
                 thread.start()
                 self._threads.append(thread)
-        if self.config.profiler:
-            self.profiler.start()
         self.journal.emit(
             "service.start",
             workers=self.config.workers,
             queue_capacity=self.config.queue_capacity,
-            profiler=self.config.profiler,
         )
         return self
 
@@ -236,7 +201,6 @@ class AnalysisService:
             for thread in self._threads:
                 thread.join(timeout=5.0)
             self._stopped.set()
-            self.profiler.stop()
             self.journal.emit(
                 "service.shutdown",
                 drained=bool(drain),
@@ -437,9 +401,6 @@ class AnalysisService:
             "queue.wait", 0.0, tracer.elapsed(), type=kind, trace_id=pending.trace_id
         )
         request_telemetry = obs.Telemetry(tracer=tracer, metrics=self.metrics)
-        ident = threading.get_ident()
-        with self._tracer_lock:
-            self._request_tracers[ident] = tracer
         try:
             with obs.use(request_telemetry):
                 with tracer.span(
@@ -474,8 +435,6 @@ class AnalysisService:
                         )
                         outcome = "internal"
         finally:
-            with self._tracer_lock:
-                self._request_tracers.pop(ident, None)
             with self._state_lock:
                 self._inflight -= 1
         seconds = monotonic() - started
@@ -601,8 +560,7 @@ class AnalysisService:
         if not from_repo and not sources:
             raise ProtocolError("invalid_params", "no .c sources to open")
 
-        self._project_counter += 1
-        project_id = params.get("project_id") or f"p{self._project_counter}"
+        project_id = params.get("project_id") or self._mint_project_id()
         if not isinstance(project_id, str):
             raise ProtocolError("invalid_params", "'project_id' must be a string")
         build_config = set(params.get("build_config", ()) or ())
@@ -653,6 +611,16 @@ class AnalysisService:
             "warm_seconds": round(monotonic() - warm_started, 6),
             "evicted": evicted,
         }
+
+    def _mint_project_id(self) -> str:
+        """The next ``p<n>`` that names no open session."""
+        open_ids = set(self.sessions.ids())
+        with self._state_lock:
+            while True:
+                self._project_counter += 1
+                project_id = f"p{self._project_counter}"
+                if project_id not in open_ids:
+                    return project_id
 
     def _session(self, params: dict):
         project_id = params.get("project_id")
@@ -876,7 +844,6 @@ class AnalysisService:
             "breached_slos": breached,
             "journal": self.journal.stats(),
             "traces": self.traces.stats(),
-            "profiler": self.profiler.stats(),
         }
 
     def _stats(self, params: dict | None = None) -> dict:
@@ -891,7 +858,14 @@ class AnalysisService:
                 "hit_rate": round(cache.hit_rate, 4),
             },
             "metrics": obs.summarize_snapshot(self.metrics.snapshot()),
-            "profile_phases": self.profiler.phase_seconds(),
+            # Where the time went: self seconds per span name over the
+            # retained request traces, largest first.
+            "layers": {
+                name: round(seconds, 6)
+                for name, seconds in sorted(
+                    self.traces.self_times().items(), key=lambda item: -item[1]
+                )
+            },
         }
         if params and params.get("raw_metrics"):
             # The un-summarized registry snapshot: what a router needs to

@@ -40,6 +40,7 @@ from pathlib import Path
 from repro.obs import EventJournal, MetricsRegistry
 from repro.obs.clock import monotonic
 from repro.service.client import ServiceClient
+from repro.service.core import ServiceConfig
 
 
 class HashRing:
@@ -92,15 +93,15 @@ class HashRing:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """The ServiceConfig knobs forwarded to every worker process."""
+    """The ServiceConfig knobs forwarded to every worker process, with
+    ServiceConfig's defaults."""
 
-    threads: int = 2  # request worker threads inside each process
-    queue_capacity: int = 16
-    request_timeout: float = 120.0
-    max_sessions: int = 8
-    max_session_loc: int | None = None
-    executor: str = "serial"
-    profiler: bool = False  # per-process sampling profiler (off: N procs sampling is noise)
+    threads: int = ServiceConfig.workers  # request worker threads inside each process
+    queue_capacity: int = ServiceConfig.queue_capacity
+    request_timeout: float = ServiceConfig.request_timeout
+    max_sessions: int = ServiceConfig.max_sessions
+    max_session_loc: int | None = ServiceConfig.max_session_loc
+    executor: str = ServiceConfig.executor
 
     def argv(self) -> list[str]:
         args = [
@@ -112,8 +113,6 @@ class WorkerSpec:
         ]
         if self.max_session_loc is not None:
             args += ["--max-session-loc", str(self.max_session_loc)]
-        if self.profiler:
-            args += ["--profiler"]
         return args
 
 

@@ -13,8 +13,9 @@ Routing rules:
 
 * **Data plane** (``open_project``, ``analyze``, ``analyze_diff``,
   ``explain``, ``baseline``, ``diff_findings``, ``gate``) — hash the
-  ``project_id``, forward the envelope (the worker echoes the client's
-  ``id``), relay the response line back.  ``trace_id`` propagates
+  ``project_id`` (the router mints ``p<n>`` for an ``open_project``
+  without one, so the id is cluster-unique), forward the envelope (the
+  worker echoes the client's ``id``), relay the response line back.  ``trace_id`` propagates
   end-to-end: the router assigns ``rtr-<n>`` when the client sent none.
   Each forwarded request runs under the router's own per-request tracer
   — a ``router.request`` root span with ``router.forward`` /
@@ -25,9 +26,10 @@ Routing rules:
   — answered by the router itself.  ``health``/``stats`` fan out to the
   live workers and aggregate: per-worker metric registries are folded
   with :meth:`MetricsRegistry.merged` into one deterministic view, both
-  carry a ``shard_map`` block, ``health`` adds router-level SLOs over
-  forwarded requests with per-worker burn rates, and ``stats`` adds the
-  scrape loop's time-series view (per-shard request rates and deltas).
+  carry a ``shard_map`` block, and ``health`` adds router-level SLOs
+  over forwarded requests with per-worker burn rates and each worker's
+  ``requests_forwarded`` counter (``valuecheck top`` derives per-shard
+  request rates from it).
   ``events`` is a **stable merge** of the router's journal with every
   live worker's journal — ordered on ``(timestamp, slot, seq)``, with
   per-source cursors (``worker-<slot>.g<generation>``) so paging stays
@@ -60,7 +62,6 @@ from dataclasses import dataclass, field
 from repro.obs import (
     DEFAULT_SLOS,
     EventJournal,
-    MetricsHistory,
     MetricsRegistry,
     SloConfig,
     TraceRecord,
@@ -98,7 +99,7 @@ DATA_PLANE = (
 @dataclass(frozen=True)
 class RouterConfig:
     """Router knobs: pool size, worker shape, probing, forwarding,
-    and the cluster observability plane (tracing, scraping, SLOs)."""
+    and the cluster observability plane (trace ring, journal, SLOs)."""
 
     workers: int = 4
     spec: WorkerSpec = field(default_factory=WorkerSpec)
@@ -111,11 +112,7 @@ class RouterConfig:
     journal_capacity: int = 2048
     journal_path: str | None = None
     # Cluster observability plane (see docs/OBSERVABILITY.md):
-    telemetry: bool = True  # per-request router spans + span_ctx propagation
-    trace_capacity: int = 256  # router-side trace ring
-    trace_pin_slow_seconds: float | None = 5.0  # tail-based retention
-    scrape_interval: float = 2.0  # metrics scrape loop; <= 0 disables
-    history_capacity: int = 240  # time-series samples retained per source
+    trace_capacity: int = 256  # router-side trace ring (tail-retained)
     slos: tuple[SloConfig, ...] = DEFAULT_SLOS  # over forwarded requests
 
     def __post_init__(self) -> None:
@@ -195,16 +192,11 @@ class Router:
         # Router-side observability: the forward hop's own trace ring
         # (tail-retained like the workers'), router-level SLO trackers
         # over forwarded requests plus per-slot trackers for burn-rate
-        # attribution, and the scrape loop's metrics time series.
-        self.traces = TraceStore(
-            capacity=self.config.trace_capacity,
-            pin_slow_seconds=self.config.trace_pin_slow_seconds,
-            pin_errors=True,
-        )
+        # attribution.
+        self.traces = TraceStore(capacity=self.config.trace_capacity)
         self.slos = build_trackers(tuple(self.config.slos))
         self._slot_slos: dict[int, tuple] = {}
         self._slo_lock = threading.Lock()
-        self.history = MetricsHistory(capacity=self.config.history_capacity)
         self._placements: dict[str, _Placement] = {}
         self._placements_lock = threading.Lock()
         self._local = threading.local()
@@ -214,7 +206,7 @@ class Router:
         self._shutdown_listeners: list = []
         self._trace_seq = 0
         self._request_seq = 0
-        self._scrape_thread: threading.Thread | None = None
+        self._project_seq = 0
         self.migrations = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -223,18 +215,11 @@ class Router:
         self.pool.start()
         with self._state_lock:
             self._accepting = True
-        if self.config.scrape_interval > 0:
-            self._scrape_thread = threading.Thread(
-                target=self._scrape_loop, name="router-scrape", daemon=True
-            )
-            self._scrape_thread.start()
         self.journal.emit(
             "router.start",
             workers=self.config.workers,
             vnodes=self.config.vnodes,
             probe_interval=self.config.probe_interval,
-            scrape_interval=self.config.scrape_interval,
-            telemetry=self.config.telemetry,
         )
         return self
 
@@ -253,8 +238,6 @@ class Router:
         if not already:
             self.pool.stop()
             self._stopped.set()
-            if self._scrape_thread is not None:
-                self._scrape_thread.join(timeout=5.0)
             self.journal.emit(
                 "router.shutdown",
                 drained=bool(drain),
@@ -320,6 +303,13 @@ class Router:
             return error_response(
                 request_id, "invalid_params", "'project_id' must be a string"
             )
+        if kind == "open_project" and not project_id:
+            # Workers mint ids from their own counters, so two shards
+            # would hand out the same one: the router mints it instead
+            # and the ring owner and the placement agree from the start.
+            request = dict(
+                request, params=dict(params, project_id=self._mint_project_id())
+            )
         with self._state_lock:
             self._request_seq += 1
             seq = self._request_seq
@@ -332,7 +322,7 @@ class Router:
         # its record lands in the router's trace ring under the same
         # trace id the worker records under, so a later ``trace`` request
         # stitches both processes onto one timeline.
-        tracer = Tracer(enabled=self.config.telemetry)
+        tracer = Tracer()
         started = monotonic()
         served: list[WorkerHandle] = []
         with tracer.span(
@@ -342,18 +332,17 @@ class Router:
         seconds = monotonic() - started
         ok = bool(response.get("ok"))
         self.metrics.observe("router.request_seconds", seconds, type=kind)
-        if tracer.enabled:
-            self.traces.put(
-                TraceRecord(
-                    request_id=seq,
-                    trace_id=trace_id,
-                    kind=kind,
-                    ok=ok,
-                    seconds=seconds,
-                    spans=tuple(tracer.spans()),
-                    epoch_ts=tracer.wall_epoch,
-                )
+        self.traces.put(
+            TraceRecord(
+                request_id=seq,
+                trace_id=trace_id,
+                kind=kind,
+                ok=ok,
+                seconds=seconds,
+                spans=tuple(tracer.spans()),
+                epoch_ts=tracer.wall_epoch,
             )
+        )
         for tracker in self.slos:
             tracker.record(kind, seconds, ok=ok)
         if served:
@@ -375,7 +364,7 @@ class Router:
         last_error: dict | None = None
         for attempt in range(3):
             try:
-                handle = self._owner(kind, project_id)
+                handle = self.pool.owner(project_id)
             except LookupError:
                 break  # no live workers at all right now
             placement = self._placement_for(project_id)
@@ -383,9 +372,7 @@ class Router:
                 (placement.slot, placement.generation)
                 != (handle.slot, handle.generation)
             ):
-                if not self._migrate(
-                    project_id, placement, handle, tracer=tracer, trace_id=trace_id
-                ):
+                if not self._migrate(project_id, placement, handle, tracer, trace_id):
                     last_error = None
                     continue  # owner changed under us; re-resolve
             try:
@@ -407,12 +394,7 @@ class Router:
                 # The worker lost the session (LRU eviction or a respawn
                 # the ring didn't move) — replay the recipe and retry.
                 if self._migrate(
-                    project_id,
-                    placement,
-                    handle,
-                    reason="evicted",
-                    tracer=tracer,
-                    trace_id=trace_id,
+                    project_id, placement, handle, tracer, trace_id, reason="evicted"
                 ):
                     try:
                         response = self._forward_traced(
@@ -450,10 +432,9 @@ class Router:
             generation=handle.generation,
             attempt=attempt,
         ) as span:
-            envelope = request
-            if span is not None:
-                envelope = dict(request, span_ctx=self._span_ctx(tracer, span))
-            return self._forward(handle, envelope)
+            return self._forward(
+                handle, dict(request, span_ctx=self._span_ctx(tracer, span))
+            )
 
     def _span_ctx(self, tracer: Tracer, span) -> dict:
         return {
@@ -471,14 +452,14 @@ class Router:
                 )
             return trackers
 
-    def _owner(self, kind: str, project_id: str | None) -> WorkerHandle:
-        if project_id is None:
-            # open_project without an explicit id: any worker may mint
-            # one; spread these round-robin-ish by hashing the trace seq.
-            with self._state_lock:
-                key = f"anon-{self._trace_seq}"
-            return self.pool.owner(key)
-        return self.pool.owner(project_id)
+    def _mint_project_id(self) -> str:
+        """The next ``p<n>`` the router holds no placement for."""
+        with self._placements_lock:
+            while True:
+                self._project_seq += 1
+                project_id = f"p{self._project_seq}"
+                if project_id not in self._placements:
+                    return project_id
 
     def _forward(self, handle: WorkerHandle, request: dict) -> dict:
         conn = self._connection(handle)
@@ -518,9 +499,7 @@ class Router:
 
     # -- migration -------------------------------------------------------
 
-    def _placement_for(self, project_id: str | None) -> _Placement | None:
-        if project_id is None:
-            return None
+    def _placement_for(self, project_id: str) -> _Placement | None:
         with self._placements_lock:
             return self._placements.get(project_id)
 
@@ -549,12 +528,12 @@ class Router:
 
     def _migrate(
         self,
-        project_id: str | None,
+        project_id: str,
         placement: _Placement,
         handle: WorkerHandle,
+        tracer: Tracer,
+        trace_id: str,
         reason: str = "reassigned",
-        tracer: Tracer | None = None,
-        trace_id: str | None = None,
     ) -> bool:
         """Replay the open recipe on ``handle``; True when the session is
         (now) live there.  The replay carries the triggering request's
@@ -566,27 +545,20 @@ class Router:
                 handle.generation,
             ) and reason != "evicted":
                 return True  # another thread already migrated it
-            replay = {
-                "id": None,
-                "type": "open_project",
-                "params": placement.open_params,
-            }
-            if trace_id is not None:
-                replay["trace_id"] = trace_id
-            span_cm = (
-                tracer.span(
-                    "router.migrate",
-                    slot=handle.slot,
-                    generation=handle.generation,
-                    reason=reason,
-                    project_id=str(project_id),
-                )
-                if tracer is not None
-                else _NULL_SPAN_CM
-            )
-            with span_cm as span:
-                if span is not None and tracer is not None:
-                    replay["span_ctx"] = self._span_ctx(tracer, span)
+            with tracer.span(
+                "router.migrate",
+                slot=handle.slot,
+                generation=handle.generation,
+                reason=reason,
+                project_id=project_id,
+            ) as span:
+                replay = {
+                    "id": None,
+                    "type": "open_project",
+                    "params": placement.open_params,
+                    "trace_id": trace_id,
+                    "span_ctx": self._span_ctx(tracer, span),
+                }
                 try:
                     response = self._forward(handle, replay)
                 except (OSError, ValueError):
@@ -610,41 +582,6 @@ class Router:
                 reason=reason,
             )
             return True
-
-    # -- scrape loop ------------------------------------------------------
-
-    def _scrape_loop(self) -> None:
-        while not self._stopped.wait(self.config.scrape_interval):
-            try:
-                self.scrape_once()
-            except Exception:  # noqa: BLE001 — the scraper must not die
-                self.metrics.inc("router.scrape.errors")
-
-    def scrape_once(self) -> int:
-        """Sample every live worker's metrics into the time-series ring;
-        returns the number of sources sampled.  Runs on the scrape
-        thread, but callable inline (tests, `stats {scrape: true}`)."""
-        sampled = 0
-        for handle in self.pool.handles():
-            if not handle.alive:
-                continue
-            response = self._worker_request(handle, "stats", {"raw_metrics": True})
-            if response is None or not response.get("ok"):
-                continue
-            result = response["result"]
-            snapshot = result.get("metrics_snapshot") or {}
-            health = result.get("health") or {}
-            gauges = dict(snapshot.get("gauges", {}))
-            gauges["worker.sessions"] = float(health.get("sessions", 0) or 0)
-            gauges["worker.queue_depth"] = float(health.get("queue_depth", 0) or 0)
-            self.history.record(
-                f"worker-{handle.slot}", snapshot.get("counters", {}), gauges
-            )
-            sampled += 1
-        own = self.metrics.snapshot()
-        self.history.record("router", own.get("counters", {}), own.get("gauges", {}))
-        self.metrics.inc("router.scrapes")
-        return sampled
 
     # -- control plane ---------------------------------------------------
 
@@ -756,9 +693,6 @@ class Router:
             # One fleet-wide deterministic metrics view: counters summed,
             # gauges maxed, histogram populations pooled across workers.
             "metrics": obs.summarize_snapshot(merged.snapshot()),
-            # The scrape loop's bounded history: per-shard request rates
-            # (the `valuecheck top` heatmap feed) and windowed deltas.
-            "timeseries": self.history.summary(series_base="service.requests"),
             "traces": self.traces.stats(),
         }
 
@@ -905,14 +839,3 @@ class Router:
                 request_id, "unknown_trace", "no process holds this trace"
             )
         return ok_response(request_id, stitch(parts, trace_id=trace_id, chrome=chrome))
-
-
-class _NullSpanCM:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SPAN_CM = _NullSpanCM()

@@ -33,29 +33,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
     parser.add_argument(
-        "--workers", type=positive_int, default=2, help="request threads"
+        "--workers",
+        type=positive_int,
+        default=ServiceConfig.workers,
+        help="request threads",
     )
-    parser.add_argument("--queue-capacity", type=int, default=16)
-    parser.add_argument("--request-timeout", type=float, default=120.0)
-    parser.add_argument("--max-sessions", type=int, default=8)
-    parser.add_argument("--max-session-loc", type=int, default=None)
-    parser.add_argument("--executor", choices=EXECUTOR_KINDS, default="serial")
-    parser.add_argument("--profiler", action="store_true", default=False)
+    parser.add_argument(
+        "--queue-capacity", type=int, default=ServiceConfig.queue_capacity
+    )
+    parser.add_argument(
+        "--request-timeout", type=float, default=ServiceConfig.request_timeout
+    )
+    parser.add_argument("--max-sessions", type=int, default=ServiceConfig.max_sessions)
+    parser.add_argument(
+        "--max-session-loc", type=int, default=ServiceConfig.max_session_loc
+    )
+    parser.add_argument(
+        "--executor", choices=EXECUTOR_KINDS, default=ServiceConfig.executor
+    )
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ServiceConfig(
+def service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The worker flags as a :class:`ServiceConfig`."""
+    return ServiceConfig(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
         request_timeout=args.request_timeout,
         max_sessions=args.max_sessions,
         max_session_loc=args.max_session_loc,
         executor=args.executor,
-        profiler=args.profiler,
     )
-    service = AnalysisService(config).start()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    service = AnalysisService(service_config(args)).start()
     server = ServiceServer(service, host=args.host, port=args.port)
     install_signal_handlers(service)
     host, port = server.address

@@ -1,4 +1,4 @@
-"""Sampling profiler: folded stacks, phase attribution, lifecycle."""
+"""Sampling profiler: folded stacks, the GC pause, lifecycle."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.obs import IDLE_PHASE, SamplingProfiler, Tracer, fold_frame
+from repro.obs import SamplingProfiler, fold_frame
+from repro.obs import profiler as profiler_module
 
 
 def _spin_in(name: str, stop: threading.Event) -> threading.Thread:
@@ -84,21 +85,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             SamplingProfiler(interval=0.0)
 
-    def test_collection_paused_while_frames_are_in_hand(self):
+    def test_collection_paused_while_frames_are_in_hand(self, monkeypatch):
         # A collection inside sys._current_frames() can deadlock CPython
-        # 3.11, so the resolver (called mid-walk) must see GC off; the
-        # sampler restores whatever state it found.
+        # 3.11, so every stack walk (fold_frame, called mid-sample) must
+        # see GC off; the sampler restores whatever state it found.
         seen = []
 
-        def resolver(ident):
+        def recording_fold(frame):
             seen.append(gc.isenabled())
-            return "phase"
+            return "stack"
 
+        monkeypatch.setattr(profiler_module, "fold_frame", recording_fold)
         stop = threading.Event()
         thread = _spin_in("gc_marker_fn", stop)
         was_enabled = gc.isenabled()
         try:
-            profiler = SamplingProfiler(interval=0.01, phase_resolver=resolver)
+            profiler = SamplingProfiler(interval=0.01)
             gc.enable()
             profiler.sample_now()
             assert seen and not any(seen)
@@ -109,78 +111,6 @@ class TestSampling:
         finally:
             if was_enabled:
                 gc.enable()
-            stop.set()
-            thread.join()
-
-
-class TestPhaseAttribution:
-    def test_samples_attributed_to_open_span(self):
-        tracer = Tracer()
-        ready = threading.Event()
-        release = threading.Event()
-
-        def worker():
-            with tracer.span("andersen"):
-                ready.set()
-                release.wait(timeout=5.0)
-
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        assert ready.wait(timeout=5.0)
-        profiler = SamplingProfiler(interval=0.01, phase_resolver=tracer.active_name)
-        try:
-            for _ in range(4):
-                profiler.sample_now()
-        finally:
-            release.set()
-            thread.join()
-        phases = profiler.phases()
-        assert phases.get("andersen", 0) >= 4
-        # In-span samples are folded; the stack mentions the worker fn.
-        assert any("worker" in stack for stack in profiler.folded())
-        assert profiler.phase_seconds()["andersen"] == pytest.approx(
-            phases["andersen"] * 0.01
-        )
-
-    def test_idle_threads_counted_but_not_folded(self):
-        tracer = Tracer()  # nothing open anywhere
-        stop = threading.Event()
-        thread = _spin_in("idle_marker_fn", stop)
-        try:
-            time.sleep(0.01)
-            profiler = SamplingProfiler(interval=0.01, phase_resolver=tracer.active_name)
-            profiler.sample_now()
-            assert profiler.phases().get(IDLE_PHASE, 0) >= 1
-            assert not any("idle_marker_fn" in s for s in profiler.folded())
-        finally:
-            stop.set()
-            thread.join()
-
-    def test_no_resolver_folds_everything(self):
-        stop = threading.Event()
-        thread = _spin_in("noresolver_marker_fn", stop)
-        try:
-            time.sleep(0.01)
-            profiler = SamplingProfiler(interval=0.01)
-            profiler.sample_now()
-            assert any("noresolver_marker_fn" in s for s in profiler.folded())
-            assert profiler.phases().get(IDLE_PHASE, 0) >= 1
-        finally:
-            stop.set()
-            thread.join()
-
-    def test_resolver_exceptions_do_not_kill_sampling(self):
-        def broken(ident):
-            raise RuntimeError("resolver bug")
-
-        profiler = SamplingProfiler(interval=0.01, phase_resolver=broken)
-        stop = threading.Event()
-        thread = _spin_in("broken_resolver_fn", stop)
-        try:
-            time.sleep(0.01)
-            profiler.sample_now()
-            assert profiler.stats()["samples"] >= 1
-        finally:
             stop.set()
             thread.join()
 
@@ -207,6 +137,3 @@ class TestLifecycle:
         finally:
             profiler.stop()
             profiler.stop()  # stop is safe to repeat
-
-    def test_render_phases_empty(self):
-        assert "no samples" in SamplingProfiler().render_phases()

@@ -48,7 +48,7 @@ def _record(
 
 class TestRetention:
     def test_capacity_evicts_oldest(self):
-        store = TraceStore(capacity=2)
+        store = TraceStore(capacity=2, pin_slow_seconds=None, pin_errors=False)
         for request_id in (1, 2, 3):
             store.put(_record(request_id, f"t{request_id}"))
         assert store.get(1) is None
@@ -124,7 +124,7 @@ class TestTailPinning:
         assert store.get(1) is None
 
     def test_stats_expose_pin_counters_only_when_enabled(self):
-        plain = TraceStore(capacity=2)
+        plain = TraceStore(capacity=2, pin_slow_seconds=None, pin_errors=False)
         assert "pinned" not in plain.stats()
         pinning = TraceStore(capacity=8, pin_errors=True)
         pinning.put(_record(1, "e1", ok=False))
@@ -132,6 +132,31 @@ class TestTailPinning:
         assert stats["pinned"] == 1
         assert stats["pinned_total"] == 1
         assert stats["pin_capacity"] == 2
+
+
+    def test_default_store_pins_errors_and_slow_traces(self):
+        store = TraceStore(capacity=8)  # room for two pins
+        store.put(_record(1, "err", ok=False))
+        store.put(_record(2, "slow", seconds=5.0))
+        for request_id in range(3, 13):
+            store.put(_record(request_id, f"t{request_id}"))
+        assert store.get(1) is not None and store.get(2) is not None
+        assert store.stats()["pinned"] == 2
+
+
+class TestSelfTimes:
+    def test_summed_per_record_although_span_ids_repeat(self):
+        # Every record's spans are ids 0 (root, 0.25 s) and 1 (child,
+        # 0.15 s): pooling the records would let one record's child
+        # cover another record's root.
+        store = TraceStore()
+        store.put(_record(1, "a"))
+        store.put(_record(2, "b"))
+        totals = store.self_times()
+        assert totals == pytest.approx({"service.request": 0.2, "engine": 0.3})
+
+    def test_empty_store(self):
+        assert TraceStore().self_times() == {}
 
 
 class TestAsDict:

@@ -2,12 +2,27 @@
 ``valuecheck client`` against a live daemon, plus the ``valuecheck
 stats`` rendering of a service lifetime record."""
 
+import dataclasses
 import io
 import json
 
 from repro import obs
-from repro.cli import main
-from repro.service import ServiceConfig, serve_stdio, serve_tcp, wait_for_port
+from repro.cli import (
+    _render_cluster_top,
+    _router_config,
+    _service_config,
+    build_parser,
+    main,
+)
+from repro.service import (
+    RouterConfig,
+    ServiceConfig,
+    WorkerSpec,
+    serve_stdio,
+    serve_tcp,
+    wait_for_port,
+)
+from repro.service import worker as worker_entry
 from repro.service.protocol import encode
 
 SOURCES = {"m.c": "int f(void)\n{\n    int dead;\n    dead = 1;\n    return 0;\n}\n"}
@@ -240,6 +255,13 @@ class TestObservabilityCommands:
                     "--params", json.dumps({"sources": SOURCES, "project_id": "p"}),
                 ]
             )
+            main(
+                [
+                    "client", "analyze",
+                    "--host", host, "--port", str(port),
+                    "--params", json.dumps({"project_id": "p"}),
+                ]
+            )
             capsys.readouterr()
             rc = main(["top", "--host", host, "--port", str(port), "--iterations", "1"])
             assert rc == 0
@@ -247,7 +269,9 @@ class TestObservabilityCommands:
             assert "valuecheck service" in out
             assert "status=ok" in out
             assert "requests" in out  # the SLO table
-            assert "profiler on" in out
+            assert "self-time" in out  # the layer table from stats.layers
+            assert "core.pipeline" in out
+            assert "profiler" not in out
         finally:
             service.shutdown()
             server.server_close()
@@ -261,3 +285,89 @@ class TestObservabilityCommands:
         rc = main(["events", "--port", "1"])
         assert rc == 2
         assert "cannot reach" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """Every daemon command's defaults are its config dataclass's."""
+
+    def test_serve_without_flags_builds_the_default_service_config(self):
+        assert _service_config(build_parser().parse_args(["serve"])) == ServiceConfig()
+
+    def test_route_without_flags_builds_the_default_router_config(self):
+        assert _router_config(build_parser().parse_args(["route"])) == RouterConfig()
+
+    def test_worker_without_flags_builds_the_default_service_config(self):
+        args = worker_entry.build_parser().parse_args([])
+        assert worker_entry.service_config(args) == ServiceConfig()
+
+    def test_worker_spec_shares_the_service_defaults(self):
+        service = ServiceConfig()
+        spec = WorkerSpec()
+        assert spec.threads == service.workers
+        for field in dataclasses.fields(WorkerSpec):
+            if field.name != "threads":
+                assert getattr(spec, field.name) == getattr(service, field.name)
+
+
+def _router_stats(uptime, forwarded, generation=0):
+    """A router ``stats`` payload reduced to what `top` reads."""
+    return {
+        "role": "router",
+        "sessions_total": 1,
+        "migrations": 0,
+        "health": {
+            "status": "ok",
+            "alive_workers": len(forwarded),
+            "uptime_seconds": uptime,
+            "slos": [],
+            "workers": [
+                {
+                    "slot": slot,
+                    "generation": generation,
+                    "status": "ok",
+                    "sessions": 1,
+                    "queue_depth": 0,
+                    "requests_forwarded": count,
+                    "burn_rate": 0.0,
+                }
+                for slot, count in enumerate(forwarded)
+            ],
+            "journal": {},
+            "traces": {},
+        },
+    }
+
+
+def _shard_row(frame, slot):
+    return next(
+        line.split()
+        for line in frame.splitlines()
+        if line.startswith(f"  {slot}   ") and len(line.split()) == 8
+    )
+
+
+class TestClusterTop:
+    def test_rates_come_from_two_consecutive_polls(self):
+        first = _router_stats(10.0, [4, 0])
+        second = _router_stats(12.0, [10, 1])
+        history: dict = {}
+        frame = _render_cluster_top(first, None, history)
+        assert "no rate yet" in frame
+        assert _shard_row(frame, 0)[6] == "--"
+        assert history == {}
+        frame = _render_cluster_top(second, first, history)
+        assert "no rate yet" not in frame
+        assert _shard_row(frame, 0)[6] == "3.00"  # (10 - 4) / 2 s
+        assert _shard_row(frame, 1)[6] == "0.50"
+        assert history == {0: [3.0], 1: [0.5]}
+        assert "heatmap (oldest → newest poll)" in frame
+
+    def test_counter_drop_is_a_reset_with_zero_rate(self):
+        # The slot respawned: its new handle counts from zero again.
+        before = _router_stats(10.0, [50, 2])
+        after = _router_stats(11.0, [3, 4], generation=1)
+        history: dict = {}
+        frame = _render_cluster_top(after, before, history)
+        assert _shard_row(frame, 0)[6] == "0.00"
+        assert _shard_row(frame, 1)[6] == "2.00"
+        assert history[0] == [0.0]

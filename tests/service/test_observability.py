@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.service import AnalysisService, ServiceClient, ServiceConfig, serve_tcp, wait_for_port
+from tests.test_perfbench_hooks import REQUEST_HOPS, _load_spans
 
 SIMPLE = {"m.c": "int f(void)\n{\n    int dead;\n    dead = 1;\n    return 0;\n}\n"}
 
@@ -326,7 +327,7 @@ class TestEventJournal:
 
 
 class TestHealthUpgrade:
-    def test_health_reports_slos_journal_traces_profiler(self, service):
+    def test_health_reports_slos_journal_traces(self, service):
         open_simple(service)
         health = service.submit({"id": 1, "type": "health", "params": {}})["result"]
         assert health["status"] == "ok"
@@ -338,7 +339,7 @@ class TestHealthUpgrade:
         assert health["breached_slos"] == []
         assert health["journal"]["events"] >= 1
         assert health["traces"]["retained"] >= 1
-        assert health["profiler"]["running"] is True
+        assert "profiler" not in health
 
     def test_breached_slo_degrades_health(self):
         from repro.obs import SloConfig
@@ -357,19 +358,21 @@ class TestHealthUpgrade:
         finally:
             service.shutdown()
 
-    def test_profiler_can_be_disabled(self):
-        service = AnalysisService(ServiceConfig(workers=1, profiler=False)).start()
-        try:
-            health = service.submit({"id": 1, "type": "health", "params": {}})["result"]
-            assert health["profiler"]["running"] is False
-        finally:
-            service.shutdown()
-
-    def test_stats_carries_profile_phases(self, service):
+    def test_stats_carries_layers(self, service):
         open_simple(service)
-        stats = service.submit({"id": 1, "type": "stats", "params": {}})["result"]
-        assert "profile_phases" in stats
-        assert isinstance(stats["profile_phases"], dict)
+        assert service.submit(
+            {"id": 1, "type": "analyze", "params": {"project_id": "p"}}
+        )["ok"]
+        stats = service.submit({"id": 2, "type": "stats", "params": {}})["result"]
+        layers = stats["layers"]
+        assert {"core.pipeline", "service.request", "queue.wait"} <= set(layers)
+        # One vocabulary: perfbench's layer names plus the request hops.
+        vocabulary = set(_load_spans().LAYERS) | REQUEST_HOPS
+        assert set(layers) <= vocabulary, set(layers) - vocabulary
+        assert all(seconds >= 0 for seconds in layers.values())
+        # Largest first, the order `valuecheck top` prints.
+        assert list(layers.values()) == sorted(layers.values(), reverse=True)
+        assert "profile_phases" not in stats
 
 
 class TestOverTcp:

@@ -134,6 +134,29 @@ class TestRouterProtocol:
                 client.request("analyze", {"project_id": "never-opened"})
             assert excinfo.value.code == "unknown_project"
 
+    def test_anonymous_opens_get_distinct_ids_and_sessions(self, routed):
+        # Regression: each worker minted ``p<n>`` from its own counter, so
+        # anonymous opens on two shards collided and one client's
+        # requests reached another client's session.
+        _, port = routed
+        files_by_id: dict[str, set] = {}
+        with ServiceClient(port=port) as client:
+            for index in range(6):
+                sources = {
+                    f"anon{index}_{module}.c": (
+                        f"int f{index}_{module}(void)\n{{\n    int dead;\n"
+                        "    dead = 1;\n    return 0;\n}\n"
+                    )
+                    for module in range(index + 1)
+                }
+                opened = client.open_project(sources=sources)
+                assert opened["modules"] == len(sources)
+                files_by_id.setdefault(opened["project_id"], set()).update(sources)
+            assert len(files_by_id) == 6
+            for project_id, files in files_by_id.items():
+                analysis = client.analyze(project_id, top=100)
+                assert {row["file"] for row in analysis["findings"]} == files
+
     def test_sessions_shard_across_workers(self, routed):
         router, port = routed
         with ServiceClient(port=port) as client:

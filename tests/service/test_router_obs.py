@@ -6,7 +6,8 @@ wait + engine pipeline on one clock-offset-corrected timeline — and when
 a session migrated mid-request, the replay hop and both workers'
 fragments too.  ``events`` must be the stably merged cluster stream
 with gap-free per-source cursors, ``health`` must attribute SLO burn to
-shards, and ``stats`` must carry the scrape loop's time series.
+shards and count each shard's forwarded requests, and ``valuecheck top``
+must turn those counts into per-shard rates.
 """
 
 import time
@@ -46,14 +47,13 @@ def fresh_engine_cache():
 
 @pytest.fixture(scope="module")
 def routed():
-    """One shared 2-worker router; the scrape loop runs for real."""
+    """One shared 2-worker router."""
     router = Router(
         RouterConfig(
             workers=2,
             spec=WorkerSpec(threads=1, max_sessions=4),
             probe_interval=0.5,
             probe_timeout=3.0,
-            scrape_interval=0.3,
         )
     ).start()
     server = ServiceServer(router, port=0)
@@ -290,42 +290,38 @@ class TestClusterTelemetry:
             for status in worker["slos"]
         )
 
-    def test_stats_carry_the_scrape_loops_time_series(self, routed):
+    def test_health_counts_forwarded_requests_per_shard(self, routed):
         router, port = routed
         with ServiceClient(port=port) as client:
-            client.open_project(project_id="obs-ts", sources=SOURCES)
-            client.analyze("obs-ts")
-            # The 0.3s scrape loop is live; wait until it has sampled
-            # every source at least twice (rates need two samples).
-            deadline = monotonic() + 15
-            while True:
-                stats = client.stats()
-                series = stats["timeseries"]["sources"]
-                if (
-                    {"router", "worker-0", "worker-1"} <= set(series)
-                    and all(entry["samples"] >= 2 for entry in series.values())
-                ):
-                    break
-                assert monotonic() < deadline, "scrape loop never sampled"
-                time.sleep(0.2)
-        for entry in series.values():
-            assert entry["window_seconds"] > 0
-            assert entry["series_base"] == "service.requests"
-            assert isinstance(entry["series"], list)
-        # The worker that served requests shows a request rate and its
-        # scraped gauges.
-        worker_entries = [
-            entry for name, entry in series.items() if name.startswith("worker-")
-        ]
-        assert any(
-            "service.requests" in entry["rates"] for entry in worker_entries
-        )
-        assert all("worker.sessions" in entry["gauges"] for entry in worker_entries)
-        assert stats["traces"]["pin_capacity"] >= 1
+            before = {
+                worker["slot"]: worker["requests_forwarded"]
+                for worker in client.health()["workers"]
+            }
+            client.open_project(project_id="obs-rate", sources=SOURCES)
+            client.analyze("obs-rate")
+            health = client.health()
+            stats = client.stats()
+        owner = router.pool.ring.owner("obs-rate", router.pool.alive_slots())
+        after = {
+            worker["slot"]: worker["requests_forwarded"] for worker in health["workers"]
+        }
+        assert after[owner] - before[owner] == 2
+        assert "timeseries" not in stats
+        assert stats["traces"]["pin_capacity"] >= 1  # tail retention is on
 
-    def test_scrape_once_is_callable_inline(self, routed):
-        router, _ = routed
-        assert router.scrape_once() == 2  # both workers sampled
+    def test_top_two_iterations_show_shard_rates(self, routed, capsys):
+        from repro.cli import main
+
+        _, port = routed
+        rc = main(
+            ["top", "--port", str(port), "--iterations", "2", "--interval", "0.1"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        first, second = out.split("valuecheck cluster")[1:]
+        assert "no rate yet" in first
+        assert "no rate yet" not in second
+        assert "shard req/s heatmap" in second
 
 
 class TestMigratedTraceStitching:
@@ -338,7 +334,6 @@ class TestMigratedTraceStitching:
                 spec=WorkerSpec(threads=1, max_sessions=4),
                 probe_interval=0.3,
                 probe_timeout=2.0,
-                scrape_interval=0.0,
             )
         ).start()
         server = ServiceServer(router, port=0)

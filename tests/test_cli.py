@@ -221,7 +221,9 @@ class TestProfiling:
         out = capsys.readouterr().out
         assert rc == 0
         assert "profiled 2 run(s)" in out
-        assert "phase" in out and "samples" in out  # the phase table
+        # The layer self-time table, as `valuecheck stats` prints it.
+        assert "self-time" in out and "residual" in out
+        assert "core.pipeline" in out and "frontend.parse" in out
         assert "wrote folded stacks to" in out
         for line in folded_path.read_text().strip().splitlines():
             stack, _, count = line.rpartition(" ")
