@@ -67,9 +67,7 @@ class IncrementalResult:
 
 def commit_changes(commit: Commit) -> dict[str, str | None]:
     """The C sources one commit touches: path → new text (None = deleted)."""
-    return {
-        path: commit.snapshot.get(path) for path in commit.touched if path.endswith(".c")
-    }
+    return {path: text for path, text in commit.changes.items() if path.endswith(".c")}
 
 
 def changed_line_ranges(old_text: str, new_text: str) -> list[tuple[int, int]]:

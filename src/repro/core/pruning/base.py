@@ -16,6 +16,9 @@ class PruneContext:
     """Everything a pruner may consult about a candidate's surroundings."""
 
     project: Project
+    # The revision under analysis (None = HEAD); history-reading pruners
+    # blame at it.
+    rev: int | str | None = None
     # Per-run metrics registry; pruners record through the helpers below
     # (no-ops when the pipeline runs without telemetry).
     metrics: MetricsRegistry | None = None

@@ -20,8 +20,8 @@ import re
 
 from repro.core.findings import Candidate
 from repro.core.pruning.base import BasePruner, PruneContext
+from repro.errors import VcsError
 from repro.obs import PrunerVerdict
-from repro.vcs.blame import BlameIndex
 
 _MESSAGE_MARKERS = ("debug", "instrument", "telemetry", "diagnostic", "tracing")
 _SOURCE_MARKERS = re.compile(r"\b(debug|instrumentation|legacy|deprecated|diagnostic)\b", re.IGNORECASE)
@@ -29,18 +29,6 @@ _SOURCE_MARKERS = re.compile(r"\b(debug|instrumentation|legacy|deprecated|diagno
 
 class HistoryPruner(BasePruner):
     name = "history"
-
-    def __init__(self) -> None:
-        self._blame_cache: dict[int, BlameIndex] = {}
-
-    def _blame(self, context: PruneContext) -> BlameIndex | None:
-        repo = context.project.repo
-        if repo is None:
-            return None
-        key = id(repo)
-        if key not in self._blame_cache:
-            self._blame_cache[key] = BlameIndex(repo)
-        return self._blame_cache[key]
 
     def decide(self, candidate: Candidate, context: PruneContext) -> PrunerVerdict:
         # Source-comment markers around the definition.
@@ -55,15 +43,15 @@ class HistoryPruner(BasePruner):
                     {"marker": "source", "token": match.group(0).lower(), "line": line},
                 )
         # Commit-message markers on the introducing commit.
-        blame = self._blame(context)
-        if blame is None:
+        repo = context.project.repo
+        if repo is None:
             return PrunerVerdict(self.name, False, {"reason": "no repository"})
-        info = blame.line_info(candidate.file, candidate.line)
+        info = context.project.blame_index(context.rev).line_info(candidate.file, candidate.line)
         if info is None:
             return PrunerVerdict(self.name, False, {"reason": "line not blamed"})
         try:
-            commit = context.project.repo.commit_by_id(info.commit_id)  # type: ignore[union-attr]
-        except Exception:
+            commit = repo.commit_by_id(info.commit_id)
+        except VcsError:
             return PrunerVerdict(self.name, False, {"reason": "commit not found"})
         message = commit.message.lower()
         for marker in _MESSAGE_MARKERS:

@@ -183,7 +183,7 @@ def decide(
         peer_unused_fraction=config.peer_unused_fraction,
         include_history=config.history_pruning,
     )
-    context = PruneContext(project=project, metrics=metrics, provenance=provenance)
+    context = PruneContext(project=project, rev=rev, metrics=metrics, provenance=provenance)
     cross = pipeline.apply(cross, context, rules=tuple(pack.name for pack in packs))
     findings = sorted(
         [*kept, *cross, *rest],

@@ -37,6 +37,7 @@ from repro import obs
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheckConfig
 from repro.engine import DEFAULT_CACHE, EXECUTOR_KINDS
+from repro.errors import VcsError
 from repro.obs import (
     DEFAULT_SLOS,
     EventJournal,
@@ -534,7 +535,10 @@ class AnalysisService:
             repo_path = Path(params["repo"])
             if not repo_path.exists():
                 raise ProtocolError("invalid_params", f"repo file {repo_path} not found")
-            repo = Repository.load(repo_path)
+            try:
+                repo = Repository.load(repo_path)
+            except VcsError as error:
+                raise ProtocolError("invalid_params", str(error)) from error
         from_repo = repo is not None and params.get("rev") is not None
         given = sum(x is not None for x in (sources, root)) + from_repo
         if given != 1:
@@ -588,9 +592,12 @@ class AnalysisService:
 
         warm_started = monotonic()
         if from_repo:
-            project = Project.from_repository(
-                repo, rev=params["rev"], name=project_id, build_config=build_config
-            )
+            try:
+                project = Project.from_repository(
+                    repo, rev=params["rev"], name=project_id, build_config=build_config
+                )
+            except VcsError as error:
+                raise ProtocolError("invalid_params", str(error)) from error
         else:
             project = Project.from_sources(
                 sources, name=project_id, repo=repo, build_config=build_config

@@ -10,8 +10,13 @@ synthetic histories:
 * :meth:`repro.vcs.repository.Repository.file_stats` — the FA/DL/AC
   counters the DOK model consumes.
 
-Histories are linear (the corpus generator synthesises them); commits
-store full file snapshots, which is simple and plenty fast at our scale.
+Histories are linear (the corpus generator synthesises them).  Storage
+is content-addressed, as in git: a :class:`~repro.vcs.objects.Commit`
+holds only the paths it changed (path → new text, or None for a delete),
+and the repository folds those changes into a snapshot when one is asked
+for.  Blame walks a file's own commit log.  On disk, format 2 stores each
+distinct text once, keyed by its SHA-256; format-1 files (one full
+snapshot per commit) still load.
 """
 
 from repro.vcs.diff import OpCode, myers_diff

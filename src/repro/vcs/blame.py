@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.errors import VcsError
 from repro.vcs.diff import myers_diff
-from repro.vcs.objects import Author, Commit
+from repro.vcs.objects import Author
 from repro.vcs.repository import Repository
 
 
@@ -58,23 +58,17 @@ class BlameIndex:
 @obs.traced("vcs.blame")
 def blame(repo: Repository, path: str, rev: int | str | None = None) -> list[LineBlame]:
     """Blame ``path`` at ``rev`` (default HEAD)."""
-    limit = repo.rev_index(rev)
-    versions: list[tuple[Commit, str | None]] = []
-    for commit in repo.commits[: limit + 1]:
-        if path in commit.touched:
-            versions.append((commit, commit.snapshot.get(path)))  # None = deleted
-    if not versions:
+    log = repo.file_log(path, rev)
+    if not log:
         raise VcsError(f"{path} has no history at revision {rev}")
 
-    first_commit, first_text = versions[0]
     # Convention: same as str.split("\n") — an empty file still has one
-    # (empty) line; only a *deleted* file has zero.
-    current_lines = first_text.split("\n") if first_text is not None else []
-    attributions: list[tuple[Author, str, int]] = [
-        (first_commit.author, first_commit.commit_id, first_commit.day) for _ in current_lines
-    ]
-
-    for commit, text in versions[1:]:
+    # (empty) line; only a *deleted* file (None) has zero.  The first
+    # version diffs against no lines, so its commit gets every line.
+    current_lines: list[str] = []
+    attributions: list[tuple[Author, str, int]] = []
+    for commit in log:
+        text = commit.changes[path]
         new_lines = text.split("\n") if text is not None else []
         new_attr: list[tuple[Author, str, int]] = []
         for op in myers_diff(current_lines, new_lines):

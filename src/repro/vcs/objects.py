@@ -44,17 +44,22 @@ class Author:
 
 @dataclass
 class Commit:
-    """One commit: author, day, message and the *full* post-commit snapshot
-    (dict of path → text).  ``touched`` lists paths whose content changed
-    relative to the parent commit."""
+    """One commit: author, day, message and its *changes* relative to the
+    parent commit (path → new text, or None for a delete).
+    :class:`~repro.vcs.repository.Repository` folds changes into
+    snapshots."""
 
     commit_id: str
     author: Author
     day: int
     message: str
-    snapshot: dict[str, str] = field(default_factory=dict)
-    touched: tuple[str, ...] = ()
+    changes: dict[str, str | None] = field(default_factory=dict)
     parent_id: str | None = None
+
+    @property
+    def touched(self) -> tuple[str, ...]:
+        """Paths this commit changed, sorted."""
+        return tuple(sorted(self.changes))
 
     @property
     def date(self) -> str:
@@ -64,26 +69,3 @@ class Commit:
         """Heuristic the §3.1 preliminary study uses on commit messages."""
         lowered = self.message.lower()
         return any(marker in lowered for marker in ("fix", "bug", "cve", "fault", "corrupt"))
-
-    def to_dict(self) -> dict:
-        return {
-            "commit_id": self.commit_id,
-            "author": self.author.to_dict(),
-            "day": self.day,
-            "message": self.message,
-            "snapshot": self.snapshot,
-            "touched": list(self.touched),
-            "parent_id": self.parent_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Commit":
-        return cls(
-            commit_id=data["commit_id"],
-            author=Author.from_dict(data["author"]),
-            day=data["day"],
-            message=data["message"],
-            snapshot=dict(data["snapshot"]),
-            touched=tuple(data.get("touched", ())),
-            parent_id=data.get("parent_id"),
-        )

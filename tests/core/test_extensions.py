@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.pruning import PruneContext, default_pipeline
 from repro.core.pruning.history import HistoryPruner
+from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
+from repro.corpus import generate_app
+from repro.vcs import Repository
 
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history, project_from_repo
 
@@ -89,8 +92,6 @@ class TestHistoryPruner:
         assert "history" not in [p.name for p in without.pruners]
 
     def test_pruner_without_repo_uses_source_only(self):
-        from repro.core.project import Project
-
         project = Project.from_sources({"p.c": DEBUG_V2})
         pruner = HistoryPruner()
         from repro.core.detector import detect_module
@@ -99,6 +100,35 @@ class TestHistoryPruner:
         target = [c for c in candidates if c.var == "probe_count"]
         assert target
         assert pruner.should_prune(target[0], PruneContext(project=project)) in (True, False)
+
+
+def truncated(repo: Repository, rev: int) -> Repository:
+    """The history up to ``rev``, re-committed into a fresh repository."""
+    copy = Repository(repo.name)
+    for commit in repo.commits[: rev + 1]:
+        copy.commit(commit.author, commit.message, commit.changes, day=commit.day)
+    return copy
+
+
+def explain_at(repo: Repository, rev: int, build_config: set[str]) -> str:
+    project = Project.from_repository(repo, rev=rev, build_config=build_config)
+    config = ValueCheckConfig(history_pruning=True)
+    return ValueCheck(config).analyze(project, rev=rev).explain_jsonl()
+
+
+class TestHistoryAtRevision:
+    """Oracle for every history read the decision path makes: analysing
+    at rev N must not see commits after N, so it equals analysing a
+    repository that ends at N."""
+
+    @pytest.mark.parametrize(("profile", "seed"), [("nfs-ganesha", 1), ("mysql", 2)])
+    def test_mid_history_equals_truncated_repository(self, profile, seed):
+        app = generate_app(profile, scale=0.02, seed=seed)
+        rev = len(app.repo.commits) // 2
+        short = truncated(app.repo, rev)
+        assert short.head.commit_id == app.repo.commits[rev].commit_id
+        build_config = set(app.build_config)
+        assert explain_at(app.repo, rev, build_config) == explain_at(short, rev, build_config)
 
 
 class TestEaRanking:

@@ -17,6 +17,7 @@ from repro.service import (
     error_response,
     ok_response,
 )
+from repro.vcs import Author, Repository
 
 
 @pytest.fixture
@@ -168,6 +169,30 @@ class TestParamValidation:
             {"id": 2, "type": "analyze_diff", "params": {"project_id": "p"}}
         )
         assert response["error"]["code"] == "invalid_params"
+
+    @pytest.mark.parametrize(
+        ("contents", "rev"),
+        [
+            ('{"format": 2, "name": "r"', 0),  # truncated file
+            ('{"format": 7, "commits": []}', 0),  # unknown format
+            (None, 99),  # revision out of range
+            (None, "0000deadbeef"),  # unknown commit id
+            (None, [1]),  # not a revision at all
+        ],
+    )
+    def test_bad_repository_or_rev_is_invalid_params(self, service, tmp_path, contents, rev):
+        path = tmp_path / "repo.json"
+        if contents is None:
+            repo = Repository("r")
+            repo.commit(Author("a"), "init", {"a.c": "int f(void)\n{\n    return 0;\n}\n"}, day=1)
+            repo.save(path)
+        else:
+            path.write_text(contents)
+        response = service.submit(
+            {"id": 1, "type": "open_project", "params": {"repo": str(path), "rev": rev}}
+        )
+        assert response["error"]["code"] == "invalid_params"
+        assert service.submit({"id": 2, "type": "health"})["ok"]
 
     def test_handler_exception_becomes_internal_error(self, service):
         def boom(params):
