@@ -32,8 +32,8 @@ def test_full_pipeline_speed(benchmark, small_project):
 
 
 def test_detection_speed(benchmark, small_project):
-    path = max(small_project.modules, key=lambda p: small_project.modules[p].loc())
-    module = small_project.modules[path]
+    path = max(small_project.sources, key=lambda p: small_project.sources[p].count("\n"))
+    module = small_project.module(path)
     vfg = small_project.vfg(path)
     candidates = benchmark(lambda: detect_module(module, vfg))
     assert isinstance(candidates, list)

@@ -20,7 +20,7 @@ def main() -> None:
     app = generate_app("mysql", scale=scale, seed=7)
     project = app.project()
     print(
-        f"  {len(project.modules)} files, {project.loc()} LoC, "
+        f"  {len(project.sources)} files, {project.loc()} LoC, "
         f"{len(app.repo.commits)} commits, "
         f"{len(app.ledger.entries)} planted constructs "
         f"({len(app.ledger.bugs())} bugs)"

@@ -115,8 +115,8 @@ class ClangWunused:
 
     def analyze(self, project: Project) -> BaselineReport:
         report = BaselineReport(tool=_TOOL)
-        for path in sorted(project.modules):
-            module = project.modules[path]
+        for path in sorted(project.sources):
+            module = project.module(path)
             if module.unit is None:
                 continue
             for fn in module.unit.functions:

@@ -13,10 +13,7 @@ KERNEL_MARKER = "KBUILD_MODNAME"
 
 
 def project_has_marker(project: Project, marker: str = KERNEL_MARKER) -> bool:
-    for module in project.modules.values():
-        if module.source is not None and marker in module.source.raw:
-            return True
-    return False
+    return any(marker in text for text in project.sources.values())
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ class CoverityUnused:
 
     def analyze(self, project: Project) -> BaselineReport:
         report = BaselineReport(tool=_TOOL)
-        for path in sorted(project.modules):
-            module = project.modules[path]
+        for path in sorted(project.sources):
+            module = project.module(path)
             for candidate in detect_module(module, project.vfg(path)):
                 if candidate.void_cast:
                     continue

@@ -40,8 +40,8 @@ class InferDeadStore:
                 "infer: capture failed — unsupported kernel build constructs"
             )
         report = BaselineReport(tool=_TOOL)
-        for path in sorted(project.modules):
-            module = project.modules[path]
+        for path in sorted(project.sources):
+            module = project.module(path)
             for name in sorted(module.functions):
                 function = module.functions[name]
                 for plain in unused_definitions(function, include_params=False):

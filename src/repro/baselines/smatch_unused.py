@@ -49,8 +49,8 @@ class SmatchUnused:
         if not project_has_marker(project):
             raise AnalysisUnsupported("smatch: compilation errors outside the kernel tree")
         report = BaselineReport(tool=_TOOL)
-        for path in sorted(project.modules):
-            module = project.modules[path]
+        for path in sorted(project.sources):
+            module = project.module(path)
             if module.unit is None:
                 continue
             for fn in module.unit.functions:

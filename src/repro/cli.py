@@ -69,6 +69,7 @@ from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus.generator import generate_app
 from repro.corpus.profiles import PROFILES
 from repro.engine.executors import EXECUTOR_KINDS, positive_int
+from repro.errors import SourceError
 from repro.rules import UnknownRuleError, normalize_rules
 from repro.vcs.repository import Repository
 
@@ -1358,7 +1359,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SourceError as error:
+        # Source text that does not parse is an input error, whichever
+        # process lowered it (a process-pool worker raises it remotely).
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

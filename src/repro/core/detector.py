@@ -203,10 +203,23 @@ class _Detector:
             is_field="#" in tracked,
             param_index=info.param_index if store.kind is StoreKind.PARAM_INIT else -1,
             increment_delta=store.increment_delta,
+            same_delta_stores=self._same_delta_stores(tracked, store.increment_delta),
             void_cast=False,
             var_attrs=info.attrs,
             decl_line=info.decl_line,
             resolved_callees=resolved,
+        )
+
+    def _same_delta_stores(self, var: str, delta: int | None) -> int:
+        if delta is None:
+            return 0
+        return sum(
+            1
+            for instruction in self.function.instructions()
+            if isinstance(instruction, Store)
+            and instruction.addr is not None
+            and instruction.addr.tracked_var() == var
+            and instruction.increment_delta == delta
         )
 
     def _candidate_for_call(self, call: Call) -> Candidate | None:

@@ -60,6 +60,9 @@ class Candidate:
     is_field: bool = False
     param_index: int = -1
     increment_delta: int | None = None
+    # For an increment: how many stores in its function write the same
+    # variable with the same delta, itself included (cursor pruning).
+    same_delta_stores: int = 0
     void_cast: bool = False
     var_attrs: tuple[str, ...] = ()
     decl_line: int = 0

@@ -213,18 +213,14 @@ class IncrementalAnalyzer:
         changed_functions: list[tuple[str, str]] = []  # (path, function name)
         analysis_set: list[tuple[str, str]] = []
         for path in sorted(changes):
-            old_text = ""
-            if path in self.project.modules and self.project.modules[path].source is not None:
-                old_text = self.project.modules[path].source.raw
+            old_text = self.project.sources.get(path, "")
             new_text = changes[path]
             if new_text is None:
-                self.project.modules.pop(path, None)
-                self.project.invalidate({path})
+                self.project.set_source(path, None)
                 result.deleted_files.append(path)
                 continue
             module = lowered[path]
-            self.project.modules[path] = module
-            self.project.invalidate({path})
+            self.project.set_source(path, new_text, module)
             ranges = changed_line_ranges(old_text, new_text)
             for function in module.functions.values():
                 touched_by_diff = any(
@@ -256,7 +252,7 @@ class IncrementalAnalyzer:
         for _, name in changed_functions:
             for site in index.sites_of(name):
                 location = index.location(site.caller)
-                if location is not None and location.file in self.project.modules:
+                if location is not None and location.file in self.project.sources:
                     widened.add((location.file, site.caller))
         analysis_set += sorted(widened.difference(analysis_set))
         result.analyzed_functions = list(analysis_set)

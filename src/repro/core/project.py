@@ -1,4 +1,4 @@
-"""Project model: parsed modules + version history + cross-file index.
+"""Project model: module source text + version history + cross-file index.
 
 The paper analyses each bitcode file separately (§7, §8.1.2) but the
 authorship lookup and peer-definition pruning need *project-wide* facts:
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.dataflow.liveness import live_variables
 from repro.errors import ReproError
+from repro.frontend.preprocessor import CondRegion, preprocess
 from repro.ir.builder import lower_source
 from repro.ir.instructions import Call, CastOp
 from repro.ir.module import Function, Module
@@ -92,10 +93,6 @@ class ModuleContribution:
     param_usage: list[tuple[tuple[str, ...], int, bool]] = field(default_factory=list)
 
 
-# Backwards-compatible alias (pre-engine name).
-_ModuleContribution = ModuleContribution
-
-
 def _call_result_used(function: Function, call: Call, use_map) -> bool:
     if call.dest is None:
         return True  # void calls have no discardable result
@@ -147,7 +144,14 @@ def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> Module
 
 
 class Project:
-    """A set of parsed modules, optionally backed by a MiniGit repository.
+    """A set of C modules held as source text, optionally backed by a
+    MiniGit repository.
+
+    ``sources`` (path → text) is the only per-module truth.  IR is built
+    on demand: :meth:`module` lowers a path on first use and memoises it.
+    The analysis engine answers most modules from its content-addressed
+    cache without asking for IR at all, so re-opening a tree whose
+    results are cached parses nothing.
 
     ``build_config`` is the set of preprocessor macros the "build" enables
     — it determines which ``#if`` arms reach the IR, exactly like the
@@ -157,14 +161,16 @@ class Project:
     def __init__(
         self,
         name: str,
-        modules: dict[str, Module],
+        sources: dict[str, str],
         repo: Repository | None = None,
         build_config: set[str] | None = None,
     ):
         self.name = name
-        self.modules = modules
+        self.sources = dict(sources)
         self.repo = repo
         self.build_config = set(build_config or ())
+        self._modules: dict[str, Module] = {}
+        self._regions: dict[str, list[CondRegion]] = {}
         self._vfgs: dict[str, ValueFlowGraph] = {}
         self._contribs: dict[str, ModuleContribution] = {}
         self._index: ProjectIndex | None = None
@@ -184,11 +190,7 @@ class Project:
         repo: Repository | None = None,
         build_config: set[str] | None = None,
     ) -> "Project":
-        modules = {
-            path: lower_source(text, filename=path, config=build_config)
-            for path, text in sorted(sources.items())
-        }
-        return cls(name=name, modules=modules, repo=repo, build_config=build_config)
+        return cls(name=name, sources=sources, repo=repo, build_config=build_config)
 
     @classmethod
     def from_repository(
@@ -207,14 +209,52 @@ class Project:
             sources, name=name or repo.name, repo=repo, build_config=build_config
         )
 
+    # -- per-module state ----------------------------------------------------
+
+    def module(self, path: str) -> Module:
+        """The IR of one module, lowered on first use."""
+        module = self._modules.get(path)
+        if module is None:
+            if path not in self.sources:
+                raise ReproError(f"unknown module {path}")
+            module = lower_source(self.sources[path], filename=path, config=self.build_config)
+            self._modules[path] = module
+        return module
+
+    def set_source(self, path: str, text: str | None, module: Module | None = None) -> None:
+        """Replace one module's text (``None`` removes the module);
+        ``module`` is the new text's IR when the caller already lowered
+        it.  Every per-module analysis of ``path`` is dropped."""
+        self._modules.pop(path, None)
+        self._regions.pop(path, None)
+        if text is None:
+            self.sources.pop(path, None)
+        else:
+            self.sources[path] = text
+            if module is not None:
+                self._modules[path] = module
+        self.invalidate({path})
+
+    def conditional_regions(self, path: str) -> list[CondRegion]:
+        """Every ``#if`` arm of one module's raw text, memoised until
+        :meth:`set_source` changes that text.
+
+        Preprocessing alone does not tokenise, so this costs a line scan,
+        not a parse."""
+        regions = self._regions.get(path)
+        if regions is None:
+            regions = preprocess(
+                self.sources[path], filename=path, config=self.build_config
+            ).regions
+            self._regions[path] = regions
+        return regions
+
     # -- derived state ------------------------------------------------------
 
     def vfg(self, path: str) -> ValueFlowGraph:
         """Value-flow graph for one module (built lazily, cached)."""
         if path not in self._vfgs:
-            if path not in self.modules:
-                raise ReproError(f"unknown module {path}")
-            self._vfgs[path] = build_value_flow(self.modules[path])
+            self._vfgs[path] = build_value_flow(self.module(path))
         return self._vfgs[path]
 
     @property
@@ -262,12 +302,18 @@ class Project:
 
     def _contribution(self, path: str) -> ModuleContribution:
         """Per-module index contribution, cached so incremental analysis
-        only recomputes touched files."""
+        only recomputes touched files.  The engine installs it from each
+        module's result; it is built here only when no engine ran."""
         if path not in self._contribs:
-            self._contribs[path] = build_contribution(
-                path, self.modules[path], self.vfg(path)
-            )
+            self._contribs[path] = build_contribution(path, self.module(path), self.vfg(path))
         return self._contribs[path]
+
+    def function_location(self, path: str, name: str) -> FunctionLocation | None:
+        """Where function ``name`` of module ``path`` sits, read from the
+        module's index contribution (no IR once the engine has run)."""
+        if path not in self.sources:
+            return None
+        return self._contribution(path).functions.get(name)
 
     def analyzed_paths(self) -> frozenset[str]:
         """Paths whose per-module results are currently warm (used by the
@@ -279,7 +325,7 @@ class Project:
         index = ProjectIndex()
         call_sites: dict[str, list[CallSite]] = {}
         param_usage: dict[tuple[tuple[str, ...], int], list[bool]] = {}
-        for path in sorted(self.modules):
+        for path in sorted(self.sources):
             contribution = self._contribution(path)
             index.functions.update(contribution.functions)
             for site in contribution.call_sites:
@@ -296,10 +342,10 @@ class Project:
     # -- conveniences -------------------------------------------------------
 
     def functions(self):
-        for path in sorted(self.modules):
-            module = self.modules[path]
+        for path in sorted(self.sources):
+            module = self.module(path)
             for name in sorted(module.functions):
                 yield path, module, module.functions[name]
 
     def loc(self) -> int:
-        return sum(module.loc() for module in self.modules.values())
+        return sum(text.count("\n") + 1 for text in self.sources.values())

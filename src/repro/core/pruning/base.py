@@ -7,7 +7,6 @@ from typing import Protocol
 
 from repro.core.findings import Candidate
 from repro.core.project import Project
-from repro.ir.module import Function, Module
 from repro.obs import MetricsRegistry, ProvenanceLog, PrunerVerdict
 
 
@@ -34,20 +33,11 @@ class PruneContext:
         if self.metrics is not None:
             self.metrics.observe(name, value, **labels)
 
-    def module_of(self, candidate: Candidate) -> Module | None:
-        return self.project.modules.get(candidate.file)
-
-    def function_of(self, candidate: Candidate) -> Function | None:
-        module = self.module_of(candidate)
-        if module is None:
-            return None
-        return module.functions.get(candidate.function)
-
     def raw_lines(self, candidate: Candidate) -> list[str]:
-        module = self.module_of(candidate)
-        if module is None or module.source is None:
+        text = self.project.sources.get(candidate.file)
+        if text is None:
             return []
-        return module.source.raw.split("\n")
+        return text.split("\n")
 
     def raw_line(self, candidate: Candidate, line: int) -> str:
         lines = self.raw_lines(candidate)

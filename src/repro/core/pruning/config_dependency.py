@@ -27,15 +27,15 @@ class ConfigDependencyPruner(BasePruner):
         if candidate.kind is CandidateKind.IGNORED_RETURN and candidate.store_kind is None:
             # Discarded calls have no variable to find uses of.
             return PrunerVerdict(self.name, False, {"reason": "no variable"})
-        module = context.module_of(candidate)
-        function = context.function_of(candidate)
-        if module is None or module.source is None or function is None:
+        project = context.project
+        function = project.function_location(candidate.file, candidate.function)
+        if function is None:
             return PrunerVerdict(self.name, False, {"reason": "no raw source"})
         var = candidate.var.split("#", 1)[0]
         pattern = re.compile(rf"\b{re.escape(var)}\b")
-        raw_lines = module.source.raw.split("\n")
+        raw_lines = context.raw_lines(candidate)
         regions = 0
-        for region in module.source.regions:
+        for region in project.conditional_regions(candidate.file):
             if region.end < function.line or region.start > function.end_line:
                 continue
             regions += 1

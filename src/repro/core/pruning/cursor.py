@@ -7,13 +7,13 @@
 We use the increment provenance the IR builder records: a candidate whose
 store has ``increment_delta`` set is pruned when the function contains at
 least ``min_increments`` stores to the same variable with that same delta
-(the candidate itself included)."""
+(the candidate itself included).  The detector counts those stores and
+carries the count on the candidate, so pruning reads no IR."""
 
 from __future__ import annotations
 
 from repro.core.findings import Candidate
 from repro.core.pruning.base import BasePruner, PruneContext
-from repro.ir.instructions import Store
 from repro.obs import PrunerVerdict
 
 
@@ -26,18 +26,7 @@ class CursorPruner(BasePruner):
     def decide(self, candidate: Candidate, context: PruneContext) -> PrunerVerdict:
         if candidate.increment_delta is None:
             return PrunerVerdict(self.name, False, {"reason": "not an increment"})
-        function = context.function_of(candidate)
-        if function is None:
-            return PrunerVerdict(self.name, False, {"reason": "function not found"})
-        same_delta = 0
-        for instruction in function.instructions():
-            if (
-                isinstance(instruction, Store)
-                and instruction.addr is not None
-                and instruction.addr.tracked_var() == candidate.var
-                and instruction.increment_delta == candidate.increment_delta
-            ):
-                same_delta += 1
+        same_delta = candidate.same_delta_stores
         return PrunerVerdict(
             self.name,
             same_delta >= self.min_increments,

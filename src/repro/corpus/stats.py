@@ -68,9 +68,9 @@ def collect_stats(
     stats.authors = len(stats.commits_per_author)
     if project is None:
         project = Project.from_repository(repo)
-    stats.files = len(project.modules)
+    stats.files = len(project.sources)
     stats.loc = project.loc()
-    stats.functions = sum(len(m.functions) for m in project.modules.values())
+    stats.functions = sum(len(project.module(path).functions) for path in project.sources)
     if ledger is not None:
         stats.constructs = ledger.counts()
     return stats

@@ -34,7 +34,10 @@ from typing import Iterable
 # engine-5: detection is rule-pack driven and ModuleResult may carry
 # use-after-free / resource-leak candidate kinds — entries cached by
 # engine-4 would replay without the semantic rules' output.
-ANALYSIS_VERSION = "engine-5"
+# engine-6: increment candidates carry their same-delta store count, so
+# cursor pruning reads no IR — entries cached by engine-5 would replay
+# candidates whose count reads as zero.
+ANALYSIS_VERSION = "engine-6"
 
 DEFAULT_CAPACITY = 4096
 

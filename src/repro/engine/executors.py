@@ -7,7 +7,7 @@ merge deterministic regardless of completion order.
 * ``serial``  — plain loop; zero overhead, the baseline and the default.
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`.  True
   parallelism on multicore hosts; work items carry source text and are
-  re-lowered in the worker.
+  lowered in the worker.
 """
 
 from __future__ import annotations

@@ -85,8 +85,8 @@ class AnalysisEngine:
     """Schedules per-module analysis over an executor with result reuse.
 
     ``cache=None`` disables content-addressed reuse (every module is
-    recomputed); modules without retained source text are likewise
-    computed fresh since they cannot be content-addressed.
+    recomputed).  A cache hit never touches the module's IR; only a miss
+    lowers it, in whichever process analyses it.
     """
 
     def __init__(
@@ -116,9 +116,9 @@ class AnalysisEngine:
         started = monotonic()
         registry = metrics if metrics is not None else MetricsRegistry()
         if paths is None:
-            paths = sorted(project.modules)
+            paths = sorted(project.sources)
         else:
-            paths = [path for path in paths if path in project.modules]
+            paths = [path for path in paths if path in project.sources]
 
         run = EngineRun(metrics=registry)
         hits = 0
@@ -128,10 +128,10 @@ class AnalysisEngine:
             "engine.run", executor=self.executor.kind, modules=len(paths)
         ) as run_span:
             for path in paths:
-                module = project.modules[path]
-                text = module.source.raw if module.source is not None else None
-                if self.cache is not None and text is not None:
-                    key = module_key(path, text, project.build_config, rules=self.rules)
+                if self.cache is not None:
+                    key = module_key(
+                        path, project.sources[path], project.build_config, rules=self.rules
+                    )
                     keys[path] = key
                     cached = self.cache.get(key)
                     outcome = "hit" if cached is not None else "miss"
@@ -144,7 +144,7 @@ class AnalysisEngine:
 
             for path, result in zip(pending, self._compute(project, pending)):
                 run.by_path[path] = result
-                if self.cache is not None and path in keys:
+                if self.cache is not None:
                     self.cache.put(keys[path], result)
                 if run_span is not None:
                     _graft(obs.current().tracer, result.spans, run_span.span_id)
@@ -186,33 +186,22 @@ class AnalysisEngine:
         if not paths:
             return []
         if self.executor.kind == "process":
-            jobs: list[ModuleJob] = []
-            local: list[str] = []
-            for path in paths:
-                module = project.modules[path]
-                if module.source is not None:
-                    jobs.append(
-                        ModuleJob(
-                            path=path,
-                            text=module.source.raw,
-                            build_config=tuple(sorted(project.build_config)),
-                            rules=self.rules,
-                        )
-                    )
-                else:
-                    local.append(path)
-            results = {r.path: r for r in self.executor.map(analyze_job, jobs)}
-            # Source-less modules cannot cross the pickle boundary as text;
-            # analyse them in-process.
-            for path in local:
-                results[path] = analyze_lowered(
-                    path, project.modules[path], project.vfg(path), rules=self.rules
+            # The job carries the text: the worker does the only lowering.
+            build_config = tuple(sorted(project.build_config))
+            jobs = [
+                ModuleJob(
+                    path=path,
+                    text=project.sources[path],
+                    build_config=build_config,
+                    rules=self.rules,
                 )
-            return [results[path] for path in paths]
+                for path in paths
+            ]
+            return self.executor.map(analyze_job, jobs)
 
         def compute(path: str) -> ModuleResult:
             return analyze_lowered(
-                path, project.modules[path], project.vfg(path), rules=self.rules
+                path, project.module(path), project.vfg(path), rules=self.rules
             )
 
         return self.executor.map(compute, paths)

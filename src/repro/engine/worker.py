@@ -2,10 +2,10 @@
 
 Everything here is a pure function of its arguments so it can run on any
 executor — including a process pool, where the argument tuple and the
-returned :class:`ModuleResult` cross a pickle boundary.  Workers in a
-process pool re-lower the module from source text; lowering is
-deterministic, so the results are identical to analysing the parent's
-module object.
+returned :class:`ModuleResult` cross a pickle boundary.  A process-pool
+worker gets the module's source text and does its only lowering;
+lowering is deterministic, so the results are identical to analysing
+the module in-process.
 
 Telemetry: each worker records into a **module-local**
 :class:`~repro.obs.MetricsRegistry` and ships the snapshot back inside

@@ -17,10 +17,17 @@ class SourceError(ReproError):
     """An error tied to a location in a source file."""
 
     def __init__(self, message: str, filename: str = "<unknown>", line: int = 0, column: int = 0):
+        self.message = message
         self.filename = filename
         self.line = line
         self.column = column
         super().__init__(f"{filename}:{line}:{column}: {message}")
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments: the default would
+        # pass the formatted message back in as ``message``.  Process-pool
+        # workers raise these across a pickle boundary.
+        return type(self), (self.message, self.filename, self.line, self.column)
 
 
 class LexError(SourceError):

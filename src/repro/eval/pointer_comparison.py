@@ -70,8 +70,8 @@ def run(project: Project, app_name: str | None = None) -> PointerComparisonResul
     for name, analyze in ANALYSES.items():
         started = monotonic()
         total = 0
-        for path in sorted(project.modules):
-            module = project.modules[path]
+        for path in sorted(project.sources):
+            module = project.module(path)
             result = analyze(module)
             vfg = build_value_flow(module, andersen=result)
             total += len(detect_module(module, vfg))

@@ -29,7 +29,6 @@ from repro import obs
 from repro.errors import LoweringError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse_source
-from repro.frontend.preprocessor import PreprocessedSource
 from repro.ir.instructions import (
     Address,
     AddrOf,
@@ -612,9 +611,9 @@ class _FunctionBuilder:
 
 
 @obs.traced("ir.lower")
-def lower_unit(unit: ast.TranslationUnit, source: PreprocessedSource | None = None) -> Module:
+def lower_unit(unit: ast.TranslationUnit) -> Module:
     """Lower a parsed translation unit into an IR module."""
-    module = Module(filename=unit.filename, unit=unit, source=source)
+    module = Module(filename=unit.filename, unit=unit)
     for fn in unit.functions:
         module.signatures[fn.name] = str(fn.return_type)
     types = _TypeTable(unit)
@@ -628,5 +627,5 @@ def lower_unit(unit: ast.TranslationUnit, source: PreprocessedSource | None = No
 
 def lower_source(text: str, filename: str = "<memory>", config: set[str] | None = None) -> Module:
     """Parse and lower MiniC source text in one step."""
-    unit, preprocessed = parse_source(text, filename=filename, config=config)
-    return lower_unit(unit, preprocessed)
+    unit, _ = parse_source(text, filename=filename, config=config)
+    return lower_unit(unit)

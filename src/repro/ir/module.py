@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.frontend import ast_nodes as ast
-from repro.frontend.preprocessor import PreprocessedSource
 from repro.ir.instructions import Br, Instruction, Ret, Store
 from repro.ir.values import Temp
 
@@ -127,14 +126,13 @@ class Function:
 
 @dataclass
 class Module:
-    """All IR for one source file, plus the artifacts the later phases
-    need: the AST unit (for prototypes/struct layouts) and the
-    preprocessed source (for config-dependency pruning)."""
+    """All IR for one source file, plus the AST unit the later phases
+    need (for prototypes/struct layouts).  The source text itself lives
+    in :class:`repro.core.project.Project`."""
 
     filename: str
     functions: dict[str, Function] = field(default_factory=dict)
     unit: ast.TranslationUnit | None = None
-    source: PreprocessedSource | None = None
     # Names of all functions known in this unit (defined or prototyped),
     # with their return types; externals default to returning int.
     signatures: dict[str, str] = field(default_factory=dict)
@@ -144,11 +142,6 @@ class Module:
 
     def callee_return_type(self, name: str) -> str:
         return self.signatures.get(name, "int")
-
-    def loc(self) -> int:
-        if self.source is None:
-            return 0
-        return len(self.source.raw.split("\n"))
 
     def __iter__(self):
         return iter(self.functions.values())

@@ -26,8 +26,9 @@ Instrumentation sites use the **ambient telemetry** established with
 
     telemetry = Telemetry.fresh()
     with use(telemetry):
-        project = Project.from_sources(sources)   # frontend.* / ir.lower spans
-        report = ValueCheck().analyze(project)    # core.pipeline and below
+        project = Project.from_sources(sources)   # holds text; lowers nothing
+        report = ValueCheck().analyze(project)    # core.pipeline and below,
+                                                  # frontend.* / ir.lower per miss
 
 Deep pipeline code calls the module-level :func:`span` /
 :func:`traced` / :func:`metrics` helpers, which no-op (cheaply) when no

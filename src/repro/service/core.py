@@ -37,7 +37,7 @@ from repro import obs
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheckConfig
 from repro.engine import DEFAULT_CACHE, EXECUTOR_KINDS
-from repro.errors import VcsError
+from repro.errors import SourceError, VcsError
 from repro.obs import (
     DEFAULT_SLOS,
     EventJournal,
@@ -602,16 +602,21 @@ class AnalysisService:
             project = Project.from_sources(
                 sources, name=project_id, repo=repo, build_config=build_config
             )
-        session, evicted = self.sessions.open(
-            project_id,
-            project,
-            config,
-            rev=params.get("rev") if from_repo else None,
-            open_params=open_params,
-        )
+        try:
+            # Opening analyses the tree: the first module-cache miss that
+            # does not parse fails here, before any session is registered.
+            session, evicted = self.sessions.open(
+                project_id,
+                project,
+                config,
+                rev=params.get("rev") if from_repo else None,
+                open_params=open_params,
+            )
+        except SourceError as error:
+            raise ProtocolError("invalid_params", str(error)) from error
         return {
             "project_id": project_id,
-            "modules": len(project.modules),
+            "modules": len(project.sources),
             "loc": project.loc(),
             "has_repo": repo is not None,
             "rev": session.analyzer.current_rev if repo is not None else None,
@@ -683,7 +688,9 @@ class AnalysisService:
         top = int(params.get("top", 20))
         try:
             incremental, merged = session.analyze_diff(changes=changes, commit=commit)
-        except ValueError as error:
+        except (ValueError, SourceError) as error:
+            # A change that does not parse is rejected before it touches
+            # the session's warm state.
             raise ProtocolError("invalid_params", str(error)) from error
         result = {
             "project_id": session.project_id,

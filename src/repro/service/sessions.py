@@ -1,7 +1,8 @@
 """Warm project sessions and their LRU manager.
 
-A :class:`ProjectSession` is the daemon's unit of warm state: a parsed
-:class:`~repro.core.project.Project`, the incremental analyzer bound to
+A :class:`ProjectSession` is the daemon's unit of warm state: a
+:class:`~repro.core.project.Project` (source text, plus IR only for
+modules that missed the module cache), the incremental analyzer bound to
 it (whose engine shares the process-wide content-addressed cache), and
 the session's current report.  A warm ``analyze_diff`` re-decides only
 the functions the change can affect, splices their findings and
@@ -312,7 +313,7 @@ class ProjectSession:
         return {
             "project_id": self.project_id,
             "project": self.project.name,
-            "modules": len(self.project.modules),
+            "modules": len(self.project.sources),
             "loc": self.loc(),
             "has_repo": self.project.repo is not None,
             "analyze_count": self.analyze_count,
@@ -363,7 +364,7 @@ class SessionManager:
             self.journal.emit(
                 "session.opened",
                 project_id=project_id,
-                modules=len(project.modules),
+                modules=len(project.sources),
                 loc=session.loc(),
             )
         return session, evicted

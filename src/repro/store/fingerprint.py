@@ -66,21 +66,34 @@ def normalize_line(text: str) -> str:
 
     Handles ``//`` tails and single-line ``/* ... */`` blocks; a block
     comment left open truncates the line (the remainder is comment).
+    A line with no ``/`` has no comment, so it only collapses whitespace.
     """
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text.startswith("//", i):
+    if "/" in text:
+        text = _strip_comments(text)
+    return " ".join(text.split())
+
+
+def _strip_comments(text: str) -> str:
+    kept: list[str] = []
+    start = 0
+    slash = text.find("/")
+    while slash != -1:
+        opener = text[slash + 1 : slash + 2]
+        if opener == "/":
             break
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
+        if opener == "*":
+            kept.append(text[start:slash])
+            end = text.find("*/", slash + 2)
             if end == -1:
-                break
-            i = end + 2
-            continue
-        out.append(text[i])
-        i += 1
-    return " ".join("".join(out).split())
+                return "".join(kept)
+            start = end + 2
+            slash = text.find("/", start)
+        else:
+            slash = text.find("/", slash + 1)
+    else:
+        slash = len(text)
+    kept.append(text[start:slash])
+    return "".join(kept)
 
 
 def structural_context(
@@ -93,24 +106,32 @@ def structural_context(
     them, so inserting any number of them (above, below, or in between)
     leaves the context unchanged.
     """
-    if source_text is None:
-        return ()
-    lines = source_text.split("\n")
+    return _context_window(_normalized_lines(source_text), line, radius)
+
+
+def _normalized_lines(text: str | None) -> list[str]:
+    """Every line of one file, normalized (none when there is no text)."""
+    if text is None:
+        return []
+    return [normalize_line(line) for line in text.split("\n")]
+
+
+def _context_window(lines: list[str], line: int, radius: int) -> tuple[str, ...]:
     if not 1 <= line <= len(lines):
         return ()
     context: list[str] = []
     found = 0
     for index in range(line - 2, -1, -1):  # walk upward from the line above
-        normalized = normalize_line(lines[index])
+        normalized = lines[index]
         if normalized:
             context.insert(0, normalized)
             found += 1
             if found >= radius:
                 break
-    context.append(normalize_line(lines[line - 1]))
+    context.append(lines[line - 1])
     found = 0
     for index in range(line, len(lines)):  # walk downward from the line below
-        normalized = normalize_line(lines[index])
+        normalized = lines[index]
         if normalized:
             context.append(normalized)
             found += 1
@@ -148,14 +169,14 @@ def _digest(parts: Iterable[str]) -> str:
     return digest.hexdigest()[:_DIGEST_CHARS]
 
 
-def _primary_material(candidate: "Candidate", source_text: str | None) -> tuple[str, ...]:
+def _primary_material(candidate: "Candidate", lines: list[str]) -> tuple[str, ...]:
     return (
         FINGERPRINT_VERSION,
         candidate.kind.value,
         candidate.file,
         candidate.function,
         variable_path(candidate),
-        *structural_context(source_text, candidate.line),
+        *_context_window(lines, candidate.line, CONTEXT_RADIUS),
     )
 
 
@@ -175,8 +196,9 @@ def fingerprint_candidate(
     """Fingerprint one candidate in isolation (ordinal supplied by the
     caller; use :func:`fingerprint_findings` to get ordinals right
     across a whole report)."""
+    lines = _normalized_lines(source_text)
     return Fingerprint(
-        primary=_digest((*_primary_material(candidate, source_text), str(ordinal))),
+        primary=_digest((*_primary_material(candidate, lines), str(ordinal))),
         location=_digest((*_location_material(candidate), str(ordinal))),
     )
 
@@ -198,10 +220,14 @@ def fingerprint_findings(
     )
     primary_groups: dict[tuple[str, ...], int] = {}
     location_groups: dict[tuple[str, ...], int] = {}
+    # Each file's lines are normalized once per call.
+    files: dict[str, list[str]] = {}
     out: dict[str, Fingerprint] = {}
     for finding in rows:
         candidate = finding.candidate
-        p_material = _primary_material(candidate, sources.get(candidate.file))
+        if candidate.file not in files:
+            files[candidate.file] = _normalized_lines(sources.get(candidate.file))
+        p_material = _primary_material(candidate, files[candidate.file])
         l_material = _location_material(candidate)
         p_ordinal = primary_groups.get(p_material, 0)
         primary_groups[p_material] = p_ordinal + 1
@@ -214,9 +240,6 @@ def fingerprint_findings(
     return out
 
 
-def project_sources(project) -> dict[str, str | None]:
-    """path → raw source text for every module that still has one."""
-    return {
-        path: module.source.raw if module.source is not None else None
-        for path, module in project.modules.items()
-    }
+def project_sources(project) -> dict[str, str]:
+    """path → raw source text of every module."""
+    return dict(project.sources)

@@ -303,8 +303,7 @@ class FindingsStore:
             if row.file in changed:
                 # A function the edit removed outright is in no analysis
                 # set, but its stored findings are certainly stale.
-                module = project.modules.get(row.file)
-                return module is None or row.function not in module.functions
+                return project.function_location(row.file, row.function) is None
             return False
 
         scope_entries = {

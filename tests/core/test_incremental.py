@@ -129,7 +129,7 @@ class TestIncrementalAnalyzer:
         analyzer = IncrementalAnalyzer(repo, start_rev=0)
         result = analyzer.replay_next()
         assert result.changed_functions == []
-        assert "other.c" not in analyzer.project.modules
+        assert "other.c" not in analyzer.project.sources
 
     def test_timing_recorded(self):
         repo = repo_with_buggy_commit()

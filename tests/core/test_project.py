@@ -25,18 +25,18 @@ SOURCES = {
 class TestConstruction:
     def test_from_sources(self):
         project = Project.from_sources(SOURCES)
-        assert set(project.modules) == {"app.c", "lib.c"}
+        assert set(project.sources) == {"app.c", "lib.c"}
 
     def test_from_repository(self):
         repo = build_multifile_history([(AUTHOR1, dict(SOURCES))])
         project = Project.from_repository(repo)
-        assert set(project.modules) == {"app.c", "lib.c"}
+        assert set(project.sources) == {"app.c", "lib.c"}
         assert project.repo is repo
 
     def test_non_c_files_skipped(self):
         repo = build_multifile_history([(AUTHOR1, {**SOURCES, "README.md": "docs"})])
         project = Project.from_repository(repo)
-        assert "README.md" not in project.modules
+        assert "README.md" not in project.sources
 
     def test_loc(self):
         project = Project.from_sources(SOURCES)
@@ -91,3 +91,29 @@ class TestIndex:
         project = Project.from_sources(SOURCES)
         names = [fn.name for _, _, fn in project.functions()]
         assert names == ["entry", "helper"]
+
+
+GUARDED = "void f(void)\n{\n    int n = 0;\n#if USE_X\n    n = 1;\n#endif\n}\n"
+
+
+class TestPerModuleState:
+    def test_module_lowered_once_and_memoised(self):
+        project = Project.from_sources(SOURCES)
+        assert project.module("lib.c") is project.module("lib.c")
+
+    def test_set_source_refreshes_conditional_regions(self):
+        project = Project.from_sources({"a.c": GUARDED})
+        assert [(r.start, r.end) for r in project.conditional_regions("a.c")] == [(5, 5)]
+        project.set_source("a.c", "\n" + GUARDED)
+        assert [(r.start, r.end) for r in project.conditional_regions("a.c")] == [(6, 6)]
+
+    def test_removed_module_drops_its_state(self):
+        project = Project.from_sources({**SOURCES, "a.c": GUARDED})
+        project.module("a.c")
+        project.conditional_regions("a.c")
+        project.set_source("a.c", None)
+        assert "a.c" not in project.sources
+        assert "a.c" not in project._modules
+        assert "a.c" not in project._regions
+        with pytest.raises(ReproError):
+            project.module("a.c")

@@ -18,8 +18,8 @@ from tests.core.helpers import module_of, project_from_sources
 def candidates_for(sources, config=None):
     project = project_from_sources(sources, config=config)
     out = []
-    for path in sorted(project.modules):
-        module = project.modules[path]
+    for path in sorted(project.sources):
+        module = project.module(path)
         out.extend(detect_module(module, project.vfg(path)))
     return project, out
 

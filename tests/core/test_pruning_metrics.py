@@ -23,8 +23,8 @@ ALL_PRUNERS = ("config_dependency", "cursor", "unused_hints", "peer_definition")
 def candidates_for(sources):
     project = project_from_sources(sources)
     out = []
-    for path in sorted(project.modules):
-        out.extend(detect_module(project.modules[path], project.vfg(path)))
+    for path in sorted(project.sources):
+        out.extend(detect_module(project.module(path), project.vfg(path)))
     return project, out
 
 

@@ -42,8 +42,8 @@ def _callers(unused, used=0):
 def candidates_for(sources):
     project = project_from_sources(sources)
     out = []
-    for path in sorted(project.modules):
-        out.extend(detect_module(project.modules[path], project.vfg(path)))
+    for path in sorted(project.sources):
+        out.extend(detect_module(project.module(path), project.vfg(path)))
     return project, out
 
 

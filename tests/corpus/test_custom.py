@@ -54,7 +54,8 @@ class TestGenerateCustom:
 
     def test_generates_and_parses(self, app):
         project = app.project()
-        assert project.modules
+        assert project.sources
+        assert all(project.module(path) is not None for path in project.sources)
 
     def test_pipeline_finds_planted_bugs(self, app):
         report = ValueCheck().analyze(app.project())

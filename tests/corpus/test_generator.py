@@ -69,8 +69,11 @@ class TestGeneration:
         assert nfs_app.repo.head.day == nfs_app.detection_day
 
     def test_all_sources_parse(self, nfs_app):
-        project = nfs_app.project()  # raises on parse errors
-        assert len(project.modules) > 3
+        project = nfs_app.project()
+        assert len(project.sources) > 3
+        # Building a Project lowers nothing; lowering each module raises
+        # on any preprocess, parse or lowering error.
+        assert all(project.module(path) is not None for path in project.sources)
 
     def test_multi_author_history(self, nfs_app):
         authors = {commit.author.name for commit in nfs_app.repo.commits}

@@ -23,7 +23,8 @@ class TestCorpusStructure:
         for day in (DAY_2019, DAY_2021):
             rev = corpus.repo.rev_at_day(day)
             project = Project.from_repository(corpus.repo, rev=rev)
-            assert project.modules
+            assert project.sources
+            assert all(project.module(path) is not None for path in project.sources)
 
     def test_entries_have_expected_fractions(self, corpus):
         bugfix = corpus.bugfix_entries()

@@ -79,18 +79,18 @@ class TestVersionBumpInvalidation:
         assert restored.stats.cache_hits == len(SOURCES)
 
 
-class TestEngine5Bump:
-    """PR regression guard: detection is rule-pack driven and results may
-    carry semantic candidate kinds, so entries cached under engine-4 must
-    not replay under engine-5."""
+class TestEngine6Bump:
+    """Increment candidates carry their same-delta store count (cursor
+    pruning reads no IR), so entries cached under engine-5 — whose
+    candidates lack the count — must not replay under engine-6."""
 
-    def test_current_version_is_engine_5(self):
-        assert cache_module.ANALYSIS_VERSION == "engine-5"
+    def test_current_version_is_engine_6(self):
+        assert cache_module.ANALYSIS_VERSION == "engine-6"
 
-    def test_engine4_entries_miss_under_engine5(self, project, monkeypatch):
+    def test_engine5_entries_miss_under_engine6(self, project, monkeypatch):
         cache = ResultCache()
         engine = AnalysisEngine(cache=cache)
-        monkeypatch.setattr(cache_module, "ANALYSIS_VERSION", "engine-4")
+        monkeypatch.setattr(cache_module, "ANALYSIS_VERSION", "engine-5")
         engine.run(project)  # a cache warmed by the previous release
         monkeypatch.undo()
         current = engine.run(project)

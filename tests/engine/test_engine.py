@@ -236,8 +236,8 @@ class TestConvergence:
     def test_converged_on_corpus_app(self, corpus_app):
         """Acceptance: AndersenResult.converged is True on corpus apps."""
         project = corpus_app.project()
-        for path in project.modules:
-            assert analyze_module(project.modules[path]).converged
+        for path in project.sources:
+            assert analyze_module(project.module(path)).converged
         report = ValueCheck(ValueCheckConfig(module_cache=False)).analyze(project)
         assert report.engine_stats.non_converged == ()
 

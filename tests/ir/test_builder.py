@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.project import Project
 from repro.ir import (
     Alloca,
     BinOp,
@@ -311,8 +312,8 @@ class TestModuleLevel:
         assert instrs(enabled, Call)
 
     def test_loc_counts_raw_lines(self):
-        module = lower_source("int f(void) {\n return 0;\n}\n")
-        assert module.loc() == 4
+        project = Project.from_sources({"a.c": "int f(void) {\n return 0;\n}\n"})
+        assert project.loc() == 4
 
     def test_sizeof_does_not_use_operand(self):
         f = fn("void f(int x) { int n = sizeof(x); }")

@@ -46,7 +46,7 @@ class TestVerifierAcceptsLoweredCode:
 
         app = generate_app("nfs-ganesha", scale=0.03, seed=5)
         project = app.project()
-        for module in project.modules.values():
+        for module in map(project.module, project.sources):
             verify_module(module)
 
 

@@ -194,6 +194,44 @@ class TestParamValidation:
         assert response["error"]["code"] == "invalid_params"
         assert service.submit({"id": 2, "type": "health"})["ok"]
 
+    def test_open_project_with_unparsable_source_is_invalid_params(self, service):
+        response = service.submit(
+            {
+                "id": 1,
+                "type": "open_project",
+                "params": {"project_id": "bad", "sources": {"a.c": "int f( {"}},
+            }
+        )
+        assert response["error"]["code"] == "invalid_params"
+        assert response["error"]["message"].startswith("a.c:1:8: ")
+        assert service.sessions.ids() == []
+        assert service.submit({"id": 2, "type": "health"})["ok"]
+
+    def test_analyze_diff_with_unparsable_change_is_invalid_params(self, service):
+        good = "int f(void)\n{\n    int x = 1;\n    x = 2;\n    return 0;\n}\n"
+        service.submit(
+            {
+                "id": 1,
+                "type": "open_project",
+                "params": {"project_id": "p", "sources": {"a.c": good, "b.c": good}},
+            }
+        )
+        before = service.submit({"id": 2, "type": "analyze", "params": {"project_id": "p"}})
+        response = service.submit(
+            {
+                "id": 3,
+                "type": "analyze_diff",
+                "params": {"project_id": "p", "changes": {"a.c": "int f( {", "c.c": good}},
+            }
+        )
+        assert response["error"]["code"] == "invalid_params"
+        assert response["error"]["message"].startswith("a.c:1:8: ")
+        after = service.submit({"id": 4, "type": "analyze", "params": {"project_id": "p"}})
+        for response in (before, after):
+            del response["result"]["seconds"], response["result"]["engine"]
+        assert after["result"] == before["result"]
+        assert service.submit({"id": 5, "type": "health"})["ok"]
+
     def test_handler_exception_becomes_internal_error(self, service):
         def boom(params):
             raise RuntimeError("kaboom")

@@ -6,6 +6,15 @@ import pytest
 
 from repro.cli import main
 from repro.corpus import generate_app
+from repro.engine import DEFAULT_CACHE
+
+
+@pytest.fixture(autouse=True)
+def cold_module_cache():
+    """Each CLI invocation is a fresh process with a cold module cache;
+    in one test process earlier analyses would warm it, and a cache hit
+    parses nothing."""
+    DEFAULT_CACHE.clear()
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +87,19 @@ class TestAnalyze:
         assert rc == 0
         assert "layer self-time:" in out
         assert "frontend.parse" in out and "core.rank" in out
+
+    def test_unparsable_file_fails_alike_under_every_executor(self, tmp_path, capsys):
+        good = "int f(void)\n{\n    return 0;\n}\n"
+        for name, text in (("a.c", good), ("b.c", "int g( {\n"), ("c.c", good)):
+            (tmp_path / name).write_text(text)
+        outcomes = []
+        for executor in ("serial", "process"):
+            DEFAULT_CACHE.clear()
+            rc = main(["analyze", str(tmp_path), "--executor", executor, "--workers", "2"])
+            outcomes.append((rc, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].startswith("error: b.c:1:8: ")
 
     def test_analyze_missing_directory(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope")])

@@ -25,8 +25,33 @@ from repro.rules.registry import pack_for_kind
 #: 0.1, seed 7, every rule pack (the provenance format ``schema`` left out).
 #: ``rules-eval``: per rule pack, (candidates, killed, reported) on the
 #: rules-eval corpus, seed 7.
+#: engine-6 moved the cursor pruner's store count onto the candidate;
+#: every decision is unchanged, so its row equals engine-5's.
 DECISION_PINS: dict[str, dict[str, dict]] = {
     "engine-5": {
+        "nfs-ganesha": {
+            "candidates": 117,
+            "explained": 117,
+            "pruned_by": {
+                "config_dependency": 1,
+                "cursor": 1,
+                "peer_definition": 13,
+                "unused_hints": 84,
+            },
+            "statuses": {
+                "detected": 0,
+                "not_cross_scope": 15,
+                "pruned": 99,
+                "reported": 3,
+            },
+        },
+        "rules-eval": {
+            "unused_definitions": (32, 20, 6),
+            "use_after_free": (6, 0, 6),
+            "resource_leak": (6, 0, 6),
+        },
+    },
+    "engine-6": {
         "nfs-ganesha": {
             "candidates": 117,
             "explained": 117,

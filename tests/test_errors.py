@@ -1,5 +1,7 @@
 """Unit tests for the exception hierarchy."""
 
+import pickle
+
 import pytest
 
 from repro import errors
@@ -42,3 +44,17 @@ class TestHierarchy:
     def test_catching_base_class(self):
         with pytest.raises(errors.ReproError):
             raise errors.VcsError("boom")
+
+
+class TestPickling:
+    """Process-pool workers raise frontend errors across a pickle boundary."""
+
+    @pytest.mark.parametrize(
+        "name", ["LexError", "ParseError", "PreprocessorError", "LoweringError"]
+    )
+    def test_frontend_errors_round_trip(self, name):
+        error = getattr(errors, name)("expected a type", "a.c", 1, 8)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error) == "a.c:1:8: expected a type"
+        assert (copy.filename, copy.line, copy.column) == ("a.c", 1, 8)
