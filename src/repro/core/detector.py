@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfg.traversal import backward_order
+from repro.dataflow.liveness import _is_live, _kill
 from repro.ir.instructions import Call, CastOp, Instruction, Load, Store, StoreKind
 from repro.ir.module import Function, Module
 from repro.ir.values import Temp
@@ -84,21 +85,6 @@ def _join_states(states: list[_State]) -> _State:
     return _State(live=live, defs=defs)
 
 
-def _is_live(var: str, live: set[str]) -> bool:
-    if var in live:
-        return True
-    return "#" in var and var.split("#", 1)[0] in live
-
-
-def _kill_live(var: str, state: _State, function: Function) -> None:
-    state.live.discard(var)
-    info = function.variables.get(var)
-    if info is not None and info.is_struct:
-        prefix = var + "#"
-        for name in [v for v in state.live if v.startswith(prefix)]:
-            state.live.discard(name)
-
-
 def _record_def(var: str, line: int, state: _State, function: Function) -> None:
     state.defs[var] = frozenset((line,))
     info = function.variables.get(var)
@@ -124,7 +110,7 @@ def _transfer(instruction: Instruction, state: _State, function: Function) -> No
     if isinstance(instruction, Store):
         tracked = instruction.addr.tracked_var() if instruction.addr is not None else None
         if tracked is not None:
-            _kill_live(tracked, state, function)
+            _kill(tracked, state.live, function)
             _record_def(tracked, instruction.line, state, function)
     elif isinstance(instruction, Load):
         addr = instruction.addr

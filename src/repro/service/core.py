@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import queue as queue_module
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from repro import obs
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheckConfig
-from repro.engine import DEFAULT_CACHE, EXECUTOR_KINDS
+from repro.engine import DEFAULT_CACHE
 from repro.errors import SourceError, VcsError
 from repro.obs import (
     DEFAULT_SLOS,
@@ -52,10 +52,12 @@ from repro.service.protocol import (
     MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    check_params,
     decode_request,
     encode,
     error_response,
     ok_response,
+    open_recipe,
 )
 from repro.service.sessions import SessionManager
 from repro.vcs.repository import Repository
@@ -148,14 +150,28 @@ class AnalysisService:
         self._shutdown_listeners: list[Callable[[], None]] = []
         self._project_counter = 0
         self._request_seq = 0
+        # Each handler sees params already checked against the protocol's
+        # schema, defaults filled in.
         self._handlers: dict[str, Callable[[dict], dict]] = {
-            "open_project": self._handle_open_project,
-            "analyze": self._handle_analyze,
-            "analyze_diff": self._handle_analyze_diff,
-            "explain": self._handle_explain,
-            "baseline": self._handle_baseline,
-            "diff_findings": self._handle_diff_findings,
-            "gate": self._handle_gate,
+            kind: self._checked(kind, handler)
+            for kind, handler in (
+                ("open_project", self._handle_open_project),
+                ("analyze", self._handle_analyze),
+                ("analyze_diff", self._handle_analyze_diff),
+                ("explain", self._handle_explain),
+                ("baseline", self._handle_baseline),
+                ("diff_findings", self._handle_diff_findings),
+                ("gate", self._handle_gate),
+            )
+        }
+        # Control-plane requests bypass the queue: they must work while
+        # the data plane is saturated or draining.
+        self._control: dict[str, Callable[[dict], dict]] = {
+            "health": lambda params: self._health(),
+            "stats": self._stats,
+            "trace": self._trace_result,
+            "events": self._events_result,
+            "shutdown": self._shutdown_result,
         }
 
     # -- lifecycle -------------------------------------------------------
@@ -234,26 +250,12 @@ class AnalysisService:
         request_id = request.get("id")
         params = request.get("params", {})
 
-        # Control-plane requests bypass the queue: they must work while
-        # the data plane is saturated or draining.
-        if kind == "health":
-            return ok_response(request_id, self._health())
-        if kind == "stats":
-            return ok_response(request_id, self._stats(params))
-        if kind == "trace":
+        control = self._control.get(kind)
+        if control is not None:
             try:
-                return ok_response(request_id, self._trace_result(params))
+                return ok_response(request_id, control(check_params(kind, params)))
             except ProtocolError as error:
                 return error_response(request_id, error.code, error.message)
-        if kind == "events":
-            try:
-                return ok_response(request_id, self._events_result(params))
-            except ProtocolError as error:
-                return error_response(request_id, error.code, error.message)
-        if kind == "shutdown":
-            summary = self.shutdown(drain=params.get("drain", True))
-            self.metrics.inc("service.requests", type=kind, outcome="ok")
-            return ok_response(request_id, summary)
 
         with self._state_lock:
             accepting = self._accepting and not self._stopped.is_set()
@@ -472,60 +474,35 @@ class AnalysisService:
 
     # -- handlers --------------------------------------------------------
 
+    @staticmethod
+    def _checked(kind: str, handler: Callable[[dict], dict]) -> Callable[[dict], dict]:
+        return lambda params: handler(check_params(kind, params))
+
     def _session_config(self, params: dict) -> ValueCheckConfig:
+        """The session's analysis config from the wire ``options``.  The
+        rule selection (top-level ``rules`` or ``options.rules``; a list
+        of names or a comma-separated string) must name registered packs:
+        the invalid_params error lists them, so clients learn the
+        vocabulary from the failure."""
         options = params.get("options", {})
-        if not isinstance(options, dict):
-            raise ProtocolError("invalid_params", "'options' must be an object")
-        executor = options.get("executor", self.config.executor)
-        if executor not in EXECUTOR_KINDS:
-            raise ProtocolError(
-                "invalid_params",
-                f"'executor' must be one of {', '.join(EXECUTOR_KINDS)}; got {executor!r}",
-            )
-        workers = options.get("workers", self.config.engine_workers)
-        if workers is not None and (
-            not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-        ):
-            raise ProtocolError(
-                "invalid_params",
-                f"'workers' must be an integer of at least 1; got {workers!r}",
-            )
-        for flag in ("use_authorship", "module_cache"):
-            if not isinstance(options.get(flag, True), bool):
-                raise ProtocolError(
-                    "invalid_params",
-                    f"'{flag}' must be true or false; got {options[flag]!r}",
-                )
+        rules = params.get("rules", options.get("rules"))
+        if isinstance(rules, str):
+            rules = [name.strip() for name in rules.split(",") if name.strip()]
+        if rules is not None:
+            # Imported lazily: repro.rules pulls in repro.core.
+            from repro.rules.registry import UnknownRuleError, normalize_rules
+
+            try:
+                rules = normalize_rules(rules)
+            except UnknownRuleError as exc:
+                raise ProtocolError("invalid_params", str(exc)) from exc
         return ValueCheckConfig(
             use_authorship=options.get("use_authorship", True),
-            executor=executor,
-            workers=workers,
+            executor=options.get("executor", self.config.executor),
+            workers=options.get("workers", self.config.engine_workers),
             module_cache=options.get("module_cache", True),
-            rules=self._session_rules(params, options),
+            rules=rules,
         )
-
-    @staticmethod
-    def _session_rules(params: dict, options: dict) -> tuple[str, ...] | None:
-        """Validated rule selection from the wire (top-level ``rules`` or
-        ``options.rules``; a list of names or a comma-separated string).
-        Unknown names are an invalid_params error naming the registered
-        packs, so clients learn the vocabulary from the failure."""
-        raw = params.get("rules", options.get("rules"))
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            raw = [name.strip() for name in raw.split(",") if name.strip()]
-        if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
-            raise ProtocolError(
-                "invalid_params", "'rules' must be a list of rule-pack names"
-            )
-        # Imported lazily: repro.rules pulls in repro.core.
-        from repro.rules.registry import UnknownRuleError, normalize_rules
-
-        try:
-            return normalize_rules(raw)
-        except UnknownRuleError as exc:
-            raise ProtocolError("invalid_params", str(exc)) from exc
 
     def _handle_open_project(self, params: dict) -> dict:
         sources = params.get("sources")
@@ -539,21 +516,8 @@ class AnalysisService:
                 repo = Repository.load(repo_path)
             except VcsError as error:
                 raise ProtocolError("invalid_params", str(error)) from error
-        from_repo = repo is not None and params.get("rev") is not None
-        given = sum(x is not None for x in (sources, root)) + from_repo
-        if given != 1:
-            raise ProtocolError(
-                "invalid_params",
-                "open_project needs exactly one of 'sources', 'root', or 'repo'+'rev'",
-            )
-        if sources is not None:
-            if not isinstance(sources, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in sources.items()
-            ):
-                raise ProtocolError(
-                    "invalid_params", "'sources' must map path -> source text"
-                )
-        elif root is not None:
+        from_repo = repo is not None and "rev" in params
+        if root is not None:
             root_path = Path(root)
             if not root_path.is_dir():
                 raise ProtocolError("invalid_params", f"{root_path} is not a directory")
@@ -565,30 +529,13 @@ class AnalysisService:
             raise ProtocolError("invalid_params", "no .c sources to open")
 
         project_id = params.get("project_id") or self._mint_project_id()
-        if not isinstance(project_id, str):
-            raise ProtocolError("invalid_params", "'project_id' must be a string")
-        build_config = set(params.get("build_config", ()) or ())
+        build_config = set(params.get("build_config", ()))
         config = self._session_config(params)
         if repo is None:
-            config = ValueCheckConfig(
-                use_authorship=False,
-                executor=config.executor,
-                workers=config.workers,
-                module_cache=config.module_cache,
-                rules=config.rules,
-            )
-
-        # The serializable re-open recipe: the wire params that produced
-        # this session (already JSON — they arrived on the wire), with
-        # the resolved project_id pinned so a replay lands on the same
-        # session identity.  A router migrating the session to another
-        # worker replays exactly this dict as a fresh open_project.
-        open_params = {
-            key: params[key]
-            for key in ("sources", "root", "repo", "rev", "build_config", "options", "rules")
-            if key in params
-        }
-        open_params["project_id"] = project_id
+            config = replace(config, use_authorship=False)
+        # A router migrating the session to another worker replays
+        # exactly this recipe as a fresh open_project.
+        open_params = open_recipe(params, project_id)
 
         warm_started = monotonic()
         if from_repo:
@@ -609,7 +556,7 @@ class AnalysisService:
                 project_id,
                 project,
                 config,
-                rev=params.get("rev") if from_repo else None,
+                rev=params["rev"] if from_repo else None,
                 open_params=open_params,
             )
         except SourceError as error:
@@ -635,9 +582,7 @@ class AnalysisService:
                     return project_id
 
     def _session(self, params: dict):
-        project_id = params.get("project_id")
-        if not isinstance(project_id, str):
-            raise ProtocolError("invalid_params", "'project_id' must be a string")
+        project_id = params["project_id"]
         with obs.span("session.lookup", project_id=project_id):
             session = self.sessions.get(project_id)
         if session is None:
@@ -649,12 +594,15 @@ class AnalysisService:
         return session
 
     @staticmethod
-    def _finding_rows(report, top: int) -> list[dict]:
-        return [finding.to_row() for finding in report.reported()[:top]]
+    def _with_findings(result: dict, report, params: dict) -> dict:
+        """``result`` plus the report's top findings (and SARIF if asked)."""
+        result["findings"] = [f.to_row() for f in report.reported()[: params["top"]]]
+        if params["sarif"]:
+            result["sarif"] = report.to_sarif(include_pruned=params["include_pruned"])
+        return result
 
     def _handle_analyze(self, params: dict) -> dict:
         session = self._session(params)
-        top = int(params.get("top", 20))
         report = session.analyze_full()
         result = {
             "project_id": session.project_id,
@@ -663,31 +611,15 @@ class AnalysisService:
             "seconds": round(report.seconds, 6),
             "converged": report.converged,
             "engine": report.engine_stats.as_dict() if report.engine_stats else None,
-            "findings": self._finding_rows(report, top),
         }
-        if params.get("sarif"):
-            result["sarif"] = report.to_sarif(
-                include_pruned=bool(params.get("include_pruned", False))
-            )
-        return result
+        return self._with_findings(result, report, params)
 
     def _handle_analyze_diff(self, params: dict) -> dict:
         session = self._session(params)
-        changes = params.get("changes")
-        commit = params.get("commit")
-        if changes is not None and (
-            not isinstance(changes, dict)
-            or not all(
-                isinstance(k, str) and (v is None or isinstance(v, str))
-                for k, v in changes.items()
-            )
-        ):
-            raise ProtocolError(
-                "invalid_params", "'changes' must map path -> new text (null = delete)"
-            )
-        top = int(params.get("top", 20))
         try:
-            incremental, merged = session.analyze_diff(changes=changes, commit=commit)
+            incremental, merged = session.analyze_diff(
+                changes=params.get("changes"), commit=params.get("commit")
+            )
         except (ValueError, SourceError) as error:
             # A change that does not parse is rejected before it touches
             # the session's warm state.
@@ -706,20 +638,12 @@ class AnalysisService:
             "counts": merged.counts(),
             "prune_stats": dict(merged.prune_stats),
             "converged": merged.converged,
-            "findings": self._finding_rows(merged, top),
         }
-        if params.get("sarif"):
-            result["sarif"] = merged.to_sarif(
-                include_pruned=bool(params.get("include_pruned", False))
-            )
-        return result
+        return self._with_findings(result, merged, params)
 
     def _handle_baseline(self, params: dict) -> dict:
         session = self._session(params)
-        rev = params.get("rev")
-        if rev is not None and not isinstance(rev, str):
-            raise ProtocolError("invalid_params", "'rev' must be a string")
-        result = session.snapshot_baseline(rev)
+        result = session.snapshot_baseline(params.get("rev"))
         self.journal.emit(
             "snapshot.recorded",
             project_id=session.project_id,
@@ -730,29 +654,15 @@ class AnalysisService:
 
     def _handle_diff_findings(self, params: dict) -> dict:
         session = self._session(params)
-        baseline_rev = params.get("baseline_rev")
-        if baseline_rev is not None and not isinstance(baseline_rev, str):
-            raise ProtocolError("invalid_params", "'baseline_rev' must be a string")
         try:
-            return session.diff_findings(baseline_rev)
+            return session.diff_findings(params.get("baseline_rev"))
         except ValueError as error:
             raise ProtocolError("invalid_params", str(error)) from error
 
     def _handle_gate(self, params: dict) -> dict:
         session = self._session(params)
-        baseline_rev = params.get("baseline_rev")
-        if baseline_rev is not None and not isinstance(baseline_rev, str):
-            raise ProtocolError("invalid_params", "'baseline_rev' must be a string")
-        entries = params.get("baseline_entries")
-        if entries is not None and (
-            not isinstance(entries, list)
-            or not all(isinstance(row, dict) for row in entries)
-        ):
-            raise ProtocolError(
-                "invalid_params", "'baseline_entries' must be a list of objects"
-            )
         try:
-            result = session.gate(baseline_rev, entries)
+            result = session.gate(params.get("baseline_rev"), params.get("baseline_entries"))
         except ValueError as error:
             raise ProtocolError("invalid_params", str(error)) from error
         self.journal.emit(
@@ -764,11 +674,7 @@ class AnalysisService:
         return result
 
     def _handle_explain(self, params: dict) -> dict:
-        session = self._session(params)
-        finding = params.get("finding")
-        if finding is not None and not isinstance(finding, str):
-            raise ProtocolError("invalid_params", "'finding' must be a string")
-        return session.explain(finding)
+        return self._session(params).explain(params.get("finding"))
 
     # -- control plane ---------------------------------------------------
 
@@ -780,20 +686,12 @@ class AnalysisService:
         request number or (client-propagated) trace id."""
         request_seq = params.get("request_id")
         trace_id = params.get("trace_id")
-        if (request_seq is None) == (trace_id is None):
-            raise ProtocolError(
-                "invalid_params", "trace takes exactly one of 'request_id'/'trace_id'"
-            )
         records: list[TraceRecord]
         if request_seq is not None:
-            if not isinstance(request_seq, int) or isinstance(request_seq, bool):
-                raise ProtocolError("invalid_params", "'request_id' must be an integer")
             record = self.traces.get(request_seq)
             records = [record] if record is not None else []
             wanted = f"request {request_seq}"
         else:
-            if not isinstance(trace_id, str):
-                raise ProtocolError("invalid_params", "'trace_id' must be a string")
             records = self.traces.records_by_trace_id(trace_id)
             record = records[-1] if records else None
             wanted = f"trace {trace_id!r}"
@@ -818,20 +716,18 @@ class AnalysisService:
 
     def _events_result(self, params: dict) -> dict:
         """The ``events`` request: journal entries after a cursor."""
-        since = params.get("since", 0)
-        if not isinstance(since, int) or isinstance(since, bool):
-            raise ProtocolError("invalid_params", "'since' must be an integer")
-        limit = params.get("limit")
-        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
-            raise ProtocolError("invalid_params", "'limit' must be an integer")
-        kind = params.get("kind")
-        if kind is not None and not isinstance(kind, str):
-            raise ProtocolError("invalid_params", "'kind' must be a string")
-        rows = self.journal.events(since=since, limit=limit, kind=kind)
+        rows = self.journal.events(
+            since=params["since"], limit=params.get("limit"), kind=params.get("kind")
+        )
         return {
             "events": [event.as_dict() for event in rows],
             "journal": self.journal.stats(),
         }
+
+    def _shutdown_result(self, params: dict) -> dict:
+        summary = self.shutdown(drain=params["drain"])
+        self.metrics.inc("service.requests", type="shutdown", outcome="ok")
+        return summary
 
     def _health(self) -> dict:
         with self._state_lock:
@@ -860,7 +756,7 @@ class AnalysisService:
             "traces": self.traces.stats(),
         }
 
-    def _stats(self, params: dict | None = None) -> dict:
+    def _stats(self, params: dict) -> dict:
         cache = DEFAULT_CACHE.stats()
         result = {
             "health": self._health(),
@@ -881,7 +777,7 @@ class AnalysisService:
                 )
             },
         }
-        if params and params.get("raw_metrics"):
+        if params.get("raw_metrics"):
             # The un-summarized registry snapshot: what a router needs to
             # fold per-worker metrics into one deterministic view with
             # MetricsRegistry.merged (histogram values, not percentiles).

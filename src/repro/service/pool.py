@@ -385,6 +385,8 @@ class WorkerPool:
                 port=fresh.port,
             )
         except Exception as error:  # pragma: no cover - spawn env failures
+            if self.metrics is not None:
+                self.metrics.inc("router.worker.respawn_failures")
             self._emit("worker.respawn_failed", slot=slot, error=str(error))
         finally:
             with self._lock:

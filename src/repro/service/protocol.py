@@ -6,12 +6,14 @@ A request is an envelope::
     {"id": 7, "type": "analyze", "params": {"project_id": "openssl"}}
 
 ``id`` is echoed verbatim in the response (any JSON scalar; optional —
-fire-and-forget clients may omit it).  ``params`` is optional and
-type-specific.  An optional ``trace_id`` string propagates the caller's
-trace context: every span the request causes (queue wait, session
-lookup, engine stages) is recorded under it, and the completed trace is
-retrievable afterwards with a ``trace`` request.  Responses are
-either::
+fire-and-forget clients may omit it).  ``params`` is optional; its
+keys per request type are data, :data:`REQUEST_PARAMS`, which
+:func:`check_params` applies (an unknown key or a wrong-typed value is
+``invalid_params``).  An optional ``trace_id`` string propagates the
+caller's trace context: every span the request causes (queue wait,
+session lookup, engine stages) is recorded under it, and the completed
+trace is retrievable afterwards with a ``trace`` request.  Responses
+are either::
 
     {"id": 7, "ok": true,  "result": {...}, "trace_id": "ci-run-42/3"}
     {"id": 7, "ok": false, "error": {"code": "queue_full",
@@ -40,7 +42,14 @@ server never silently drops an accepted request.
 from __future__ import annotations
 
 import json
-from typing import Any
+import reprlib
+from dataclasses import dataclass, field
+from typing import Any, Callable
+
+# The engine imports the core, whose pipeline imports the engine back:
+# importing the engine first breaks that cycle, so the core goes first.
+import repro.core  # noqa: F401
+from repro.engine import EXECUTOR_KINDS
 
 PROTOCOL_VERSION = 1
 
@@ -48,20 +57,115 @@ PROTOCOL_VERSION = 1
 #: JSON parsing (a malicious or confused client cannot balloon memory).
 MAX_REQUEST_BYTES = 4 << 20
 
-REQUEST_TYPES = (
-    "open_project",
-    "analyze",
-    "analyze_diff",
-    "explain",
-    "baseline",
-    "diff_findings",
-    "gate",
-    "stats",
-    "health",
-    "trace",
-    "events",
-    "shutdown",
-)
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_list(value: Any, item_ok: Callable[[Any], bool]) -> bool:
+    return isinstance(value, list) and all(item_ok(item) for item in value)
+
+
+def _is_map(value: Any, value_ok: Callable[[Any], bool]) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(key, str) and value_ok(item) for key, item in value.items()
+    )
+
+
+#: What a param value may be: a predicate and the phrase an error
+#: message uses for it.  ``null`` is no key's value: omit the key.
+PARAM_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "string": (_is_str, "a string"),
+    "count": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "positive": (lambda v: _is_int(v) and v >= 1, "an integer of at least 1"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "rev": (lambda v: _is_int(v) or _is_str(v), "a revision index or commit id"),
+    "names": (lambda v: _is_list(v, _is_str), "a list of names"),
+    "rules": (
+        lambda v: _is_str(v) or _is_list(v, _is_str),
+        "a list of rule-pack names or a comma-separated string",
+    ),
+    "sources": (lambda v: bool(v) and _is_map(v, _is_str), "a non-empty map of path -> text"),
+    "changes": (
+        lambda v: _is_map(v, lambda text: text is None or _is_str(text)),
+        "a map of path -> new text (null = delete)",
+    ),
+    "objects": (lambda v: _is_list(v, lambda row: isinstance(row, dict)), "a list of objects"),
+    "cursors": (
+        lambda v: _is_map(v, lambda n: _is_int(n) and n >= 0),
+        "a map of source -> non-negative integer",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Params:
+    """One request's params schema.  ``keys`` maps each accepted key to
+    a :data:`PARAM_TYPES` name, a tuple of enum choices, or a nested
+    :class:`Params` (an object-valued key).  Each ``one_of`` group lists
+    alternatives — tuples of keys that are present together — of which
+    exactly one must be given."""
+
+    keys: dict[str, Any]
+    required: tuple[str, ...] = ()
+    one_of: tuple[tuple[str, ...], ...] = ()
+    defaults: dict[str, Any] = field(default_factory=dict)
+
+
+def _session(keys: dict[str, Any], **schema: Any) -> Params:
+    """A request against an open session: ``project_id`` is required."""
+    return Params({"project_id": "string", **keys}, required=("project_id",), **schema)
+
+
+_REPORT = {"top": "count", "sarif": "bool", "include_pruned": "bool"}
+_REPORT_DEFAULTS = {"top": 20, "sarif": False, "include_pruned": False}
+
+#: Every request type and its params, in the order the docs list them.
+REQUEST_PARAMS: dict[str, Params] = {
+    "open_project": Params(
+        {
+            "sources": "sources",
+            "root": "string",
+            "repo": "string",
+            "rev": "rev",
+            "build_config": "names",
+            "options": Params(
+                {"executor": EXECUTOR_KINDS, "workers": "positive", "use_authorship": "bool",
+                 "module_cache": "bool", "rules": "rules"}
+            ),
+            "rules": "rules",
+            "project_id": "string",
+        },
+        one_of=(("sources",), ("root",), ("repo", "rev")),
+    ),
+    "analyze": _session(_REPORT, defaults=_REPORT_DEFAULTS),
+    "analyze_diff": _session(
+        {"changes": "changes", "commit": "string", **_REPORT},
+        one_of=(("changes",), ("commit",)),
+        defaults=_REPORT_DEFAULTS,
+    ),
+    "explain": _session({"finding": "string"}),
+    "baseline": _session({"rev": "string"}),
+    "diff_findings": _session({"baseline_rev": "string"}),
+    "gate": _session({"baseline_rev": "string", "baseline_entries": "objects"}),
+    "stats": Params({"raw_metrics": "bool", "shallow": "bool"}),
+    "health": Params({}),
+    "trace": Params(
+        {"request_id": "count", "trace_id": "string", "chrome": "bool", "all": "bool"},
+        one_of=(("request_id",), ("trace_id",)),
+    ),
+    "events": Params(
+        {"since": "count", "limit": "count", "kind": "string", "cursors": "cursors"},
+        defaults={"since": 0},
+    ),
+    "shutdown": Params({"drain": "bool"}, defaults={"drain": True}),
+}
+
+REQUEST_TYPES = tuple(REQUEST_PARAMS)
 
 #: Every error code a response may carry.
 ERROR_CODES = (
@@ -130,6 +234,53 @@ def decode_request(line: str | bytes, max_bytes: int = MAX_REQUEST_BYTES) -> dic
     if span_ctx is not None:
         envelope["span_ctx"] = span_ctx
     return envelope
+
+
+def check_params(kind: str, params: dict) -> dict:
+    """``params`` of a ``kind`` request checked against its schema, with
+    the defaults filled in; raises ``invalid_params`` naming the key."""
+    return _check(REQUEST_PARAMS[kind], params, kind)
+
+
+def _check(schema: Params, params: dict, where: str) -> dict:
+    for key, value in params.items():
+        spec = schema.keys.get(key)
+        if spec is None:
+            raise ProtocolError(
+                "invalid_params",
+                f"unknown key {key!r} in {where} "
+                f"(expected {', '.join(schema.keys) or 'no params'})",
+            )
+        if isinstance(spec, Params):
+            ok, what = isinstance(value, dict), "an object"
+        elif isinstance(spec, tuple):
+            ok, what = _is_str(value) and value in spec, f"one of {', '.join(spec)}"
+        else:
+            accepts, what = PARAM_TYPES[spec]
+            ok = accepts(value)
+        if not ok:
+            raise ProtocolError(
+                "invalid_params", f"'{key}' must be {what}; got {reprlib.repr(value)}"
+            )
+        if isinstance(spec, Params):
+            _check(spec, value, f"'{key}'")
+    for key in schema.required:
+        if key not in params:
+            raise ProtocolError("invalid_params", f"{where} needs '{key}'")
+    if schema.one_of and sum(all(k in params for k in alt) for alt in schema.one_of) != 1:
+        choices = " or ".join("+".join(f"'{k}'" for k in alt) for alt in schema.one_of)
+        raise ProtocolError("invalid_params", f"{where} takes exactly one of {choices}")
+    return {**schema.defaults, **params}
+
+
+def open_recipe(params: dict, project_id: str) -> dict:
+    """The serializable re-open recipe of a session: the ``open_project``
+    params that produced it (already JSON — they arrived on the wire),
+    with the resolved ``project_id`` pinned so a replay lands on the
+    same session identity."""
+    recipe = {key: params[key] for key in REQUEST_PARAMS["open_project"].keys if key in params}
+    recipe["project_id"] = project_id
+    return recipe
 
 
 def ok_response(request_id: Any, result: dict, trace_id: str | None = None) -> dict:

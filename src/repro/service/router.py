@@ -77,10 +77,12 @@ from repro.service.protocol import (
     MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    check_params,
     decode_request,
     encode,
     error_response,
     ok_response,
+    open_recipe,
 )
 
 #: Request types the router forwards to a shard owner (all carry — or,
@@ -268,15 +270,22 @@ class Router:
     def submit(self, request: dict) -> dict:
         kind = request["type"]
         request_id = request.get("id")
+        # Checked once here, before routing: a malformed request never
+        # reaches a worker, and every handler below sees defaults filled.
+        try:
+            params = check_params(kind, request.get("params", {}))
+        except ProtocolError as error:
+            self.metrics.inc("router.requests", type=kind, outcome=error.code)
+            return error_response(request_id, error.code, error.message)
+        request = dict(request, params=params)
         if kind == "health":
             return ok_response(request_id, self._health())
         if kind == "stats":
-            return ok_response(request_id, self._stats(request.get("params", {})))
+            return ok_response(request_id, self._stats(params))
         if kind == "events":
             return self._events(request)
         if kind == "shutdown":
-            params = request.get("params", {})
-            summary = self.shutdown(drain=params.get("drain", True))
+            summary = self.shutdown(drain=params["drain"])
             self.metrics.inc("router.requests", type=kind, outcome="ok")
             return ok_response(request_id, summary)
         if kind == "trace":
@@ -296,14 +305,8 @@ class Router:
     def _route(self, request: dict) -> dict:
         kind = request["type"]
         request_id = request.get("id")
-        params = request.get("params", {})
-        project_id = params.get("project_id")
-        if kind != "open_project" and not isinstance(project_id, str):
-            self.metrics.inc("router.requests", type=kind, outcome="invalid_params")
-            return error_response(
-                request_id, "invalid_params", "'project_id' must be a string"
-            )
-        if kind == "open_project" and not project_id:
+        params = request["params"]
+        if kind == "open_project" and not params.get("project_id"):
             # Workers mint ids from their own counters, so two shards
             # would hand out the same one: the router mints it instead
             # and the ring owner and the placement agree from the start.
@@ -359,9 +362,8 @@ class Router:
     ) -> dict:
         kind = request["type"]
         request_id = request.get("id")
-        params = request.get("params", {})
-        project_id = params.get("project_id")
-        last_error: dict | None = None
+        params = request["params"]
+        project_id = params["project_id"]
         for attempt in range(3):
             try:
                 handle = self.pool.owner(project_id)
@@ -373,7 +375,6 @@ class Router:
                 != (handle.slot, handle.generation)
             ):
                 if not self._migrate(project_id, placement, handle, tracer, trace_id):
-                    last_error = None
                     continue  # owner changed under us; re-resolve
             try:
                 response = self._forward_traced(
@@ -411,8 +412,6 @@ class Router:
             served.append(handle)
             return response
         self.metrics.inc("router.requests", type=kind, outcome="worker_unavailable")
-        if last_error is not None:  # pragma: no cover - defensive
-            return last_error
         return error_response(
             request_id,
             "worker_unavailable",
@@ -507,12 +506,7 @@ class Router:
         project_id = result.get("project_id")
         if not isinstance(project_id, str):  # pragma: no cover - protocol guard
             return
-        open_params = {
-            key: params[key]
-            for key in ("sources", "root", "repo", "rev", "build_config", "options", "rules")
-            if key in params
-        }
-        open_params["project_id"] = project_id
+        open_params = open_recipe(params, project_id)
         with self._placements_lock:
             existing = self._placements.get(project_id)
             if existing is not None:
@@ -651,7 +645,7 @@ class Router:
             "traces": self.traces.stats(),
         }
 
-    def _stats(self, params: dict | None = None) -> dict:
+    def _stats(self, params: dict) -> dict:
         from repro import obs
 
         worker_stats = []
@@ -685,7 +679,7 @@ class Router:
         merged = MetricsRegistry.merged(snapshots)
         return {
             "role": "router",
-            "health": self._health() if params is None or not params.get("shallow") else None,
+            "health": None if params.get("shallow") else self._health(),
             "workers": worker_stats,
             "sessions_total": sessions_total,
             "shard_map": self.pool.shard_map(),
@@ -703,37 +697,16 @@ class Router:
         ``worker-<slot>.g<generation>`` — so a follower stays gap-free
         even when a slot respawns into a fresh journal (the new
         generation is a new source starting at 0)."""
-        params = request.get("params", {})
-        request_id = request.get("id")
-        since = params.get("since", 0)
+        params = request["params"]
         limit = params.get("limit")
         kind = params.get("kind")
-        cursors = params.get("cursors")
-        if not isinstance(since, int) or isinstance(since, bool) or since < 0:
-            return error_response(
-                request_id, "invalid_params", "'since' must be a non-negative integer"
-            )
-        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
-            return error_response(request_id, "invalid_params", "'limit' must be an integer")
-        if cursors is not None and (
-            not isinstance(cursors, dict)
-            or not all(
-                isinstance(key, str) and isinstance(value, int) and value >= 0
-                for key, value in cursors.items()
-            )
-        ):
-            return error_response(
-                request_id,
-                "invalid_params",
-                "'cursors' must map source -> non-negative integer",
-            )
-        cursors = dict(cursors or {})
+        cursors = dict(params.get("cursors", {}))
         next_cursors = dict(cursors)
 
         # (ts, slot-order, seq) sorts the merge: the router sorts ahead
         # of workers at equal timestamps (slot order -1), workers by slot.
         merged: list[tuple[float, int, int, dict]] = []
-        router_since = cursors.get("router", since)
+        router_since = cursors.get("router", params["since"])
         next_cursors.setdefault("router", router_since)
         for event in self.journal.events(since=router_since, kind=kind):
             row = dict(event.as_dict(), source="router")
@@ -760,7 +733,7 @@ class Router:
                     (float(event.get("ts", 0.0)), handle.slot, int(event["seq"]), row)
                 )
         merged.sort(key=lambda item: (item[0], item[1], item[2]))
-        if limit is not None and limit >= 0:
+        if limit is not None:
             merged = merged[:limit]
         # Cursors advance only over *returned* rows: anything cut by the
         # limit is re-fetched on the next page — no gaps.
@@ -768,7 +741,7 @@ class Router:
             source = row["source"]
             next_cursors[source] = max(next_cursors.get(source, 0), seq)
         return ok_response(
-            request_id,
+            request.get("id"),
             {
                 "events": [row for _ts, _order, _seq, row in merged],
                 "cursors": next_cursors,
@@ -783,27 +756,10 @@ class Router:
         on two workers) — and stitch them into one cross-process
         timeline with clock-offset-corrected timestamps."""
         request_id = request.get("id")
-        params = request.get("params", {})
+        params = request["params"]
         request_seq = params.get("request_id")
         trace_id = params.get("trace_id")
-        chrome = bool(params.get("chrome"))
-        if (request_seq is None) == (trace_id is None):
-            return error_response(
-                request_id,
-                "invalid_params",
-                "trace takes exactly one of 'request_id'/'trace_id'",
-            )
-        if request_seq is not None and (
-            not isinstance(request_seq, int) or isinstance(request_seq, bool)
-        ):
-            return error_response(
-                request_id, "invalid_params", "'request_id' must be an integer"
-            )
-        if trace_id is not None and not isinstance(trace_id, str):
-            return error_response(
-                request_id, "invalid_params", "'trace_id' must be a string"
-            )
-
+        chrome = params.get("chrome", False)
         router_records = []
         if request_seq is not None:
             # `request_id` is the *router's* request number; resolve it to

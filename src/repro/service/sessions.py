@@ -82,15 +82,6 @@ class ProjectSession:
             open_params=open_params,
         )
 
-    def describe(self) -> dict:
-        """The shard-handoff view: everything another worker needs to
-        re-open this session, plus where its warm state currently is."""
-        return {
-            "project_id": self.project_id,
-            "open_params": self.open_params,
-            "rev": self.analyzer.current_rev if self.project.repo else None,
-        }
-
     # -- requests --------------------------------------------------------
 
     def analyze_full(self) -> Report:

@@ -1,14 +1,20 @@
 """Wire-protocol contract tests: every malformed input gets a typed error."""
 
+import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     ERROR_CODES,
     REQUEST_TYPES,
     AnalysisService,
     ProtocolError,
+    Router,
     RouterConfig,
     ServiceConfig,
     WorkerSpec,
@@ -17,7 +23,10 @@ from repro.service import (
     error_response,
     ok_response,
 )
+from repro.service.protocol import PARAM_TYPES, REQUEST_PARAMS, Params
 from repro.vcs import Author, Repository
+
+SERVICE_DOC = Path(__file__).resolve().parents[2] / "docs" / "SERVICE.md"
 
 
 @pytest.fixture
@@ -133,6 +142,22 @@ class TestSubmitLine:
             "invalid_params",
             "internal",
         }
+
+    def test_request_params_documented(self):
+        # docs/SERVICE.md's params table lists exactly the schema's keys,
+        # object-valued keys as `options.executor` and so on.
+        text = SERVICE_DOC.read_text()
+        section = text.split("### Request params", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)` \| `([\w.]+)` \|", section, re.M))
+        schema = set()
+        for kind, params in REQUEST_PARAMS.items():
+            for key, spec in params.keys.items():
+                if isinstance(spec, Params):
+                    schema |= {(kind, f"{key}.{sub}") for sub in spec.keys}
+                else:
+                    schema.add((kind, key))
+        assert documented - schema == set(), "documented but not in the schema"
+        assert schema - documented == set(), "in the schema but not documented"
 
 
 class TestParamValidation:
@@ -301,3 +326,118 @@ class TestWorkerCounts:
             RouterConfig(workers=workers)
         with pytest.raises(ValueError, match="at least 1"):
             RouterConfig(spec=WorkerSpec(threads=workers))
+
+
+SOURCES = {"a.c": "int f(void)\n{\n    return 0;\n}\n"}
+
+
+@pytest.fixture(scope="module")
+def cores():
+    """An in-process service with project ``p`` open, and a router that
+    is never started: anything it routed would answer ``shutting_down``,
+    so ``invalid_params`` from it means it rejected before routing."""
+    service = AnalysisService(ServiceConfig(workers=1, queue_capacity=4)).start()
+    opened = service.submit(
+        {"id": 0, "type": "open_project", "params": {"project_id": "p", "sources": SOURCES}}
+    )
+    assert opened["ok"], opened
+    router = Router(RouterConfig(workers=1))
+    # One journal event, so a bad ``kind`` filter has a row to trip over.
+    router.journal.emit("router.note")
+    yield {"service": service, "router": router}
+    service.shutdown()
+    router.shutdown()
+
+
+class TestParamRegressions:
+    """Malformed params that used to crash a handler, pass silently, or
+    kill the router's connection thread."""
+
+    @pytest.mark.parametrize("target", ["service", "router"])
+    @pytest.mark.parametrize(
+        ("kind", "params"),
+        [
+            # int() on the wire value raised: an `internal` error.
+            ("analyze", {"project_id": "p", "top": "x"}),
+            ("analyze", {"project_id": "p", "top": [1]}),
+            ("analyze", {"project_id": "p", "top": None}),
+            # set(5) raised; set("FOO") opened with macros F and O.
+            ("open_project", {"sources": SOURCES, "build_config": 5}),
+            ("open_project", {"sources": SOURCES, "build_config": "FOO"}),
+            # Any truthy value attached SARIF.
+            ("analyze", {"project_id": "p", "sarif": "no"}),
+            # The router's journal filter raised TypeError out of submit_line.
+            ("events", {"kind": 5}),
+        ],
+    )
+    def test_is_invalid_params(self, cores, target, kind, params):
+        core = cores[target]
+        line = json.dumps({"id": 1, "type": kind, "params": params})
+        response = json.loads(core.submit_line(line))
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid_params"
+        assert json.loads(core.submit_line('{"id": 2, "type": "health"}'))["ok"]
+
+
+#: A value each param type accepts, to build a valid request around a fault.
+VALID = {
+    "string": "p",
+    "count": 0,
+    "positive": 1,
+    "bool": False,
+    "rev": 0,
+    "names": [],
+    "rules": [],
+    "sources": SOURCES,
+    "changes": {},
+    "objects": [],
+    "cursors": {},
+}
+JSON_VALUES = st.sampled_from(
+    [None, True, 0, -1, 1, 2.5, "", "x", "serial", [], [1], ["a"], [{}], {}, {"a": 1},
+     {"a": None}, {"a": "b"}]
+)
+
+
+def _accepts(spec, value) -> bool:
+    if isinstance(spec, tuple):
+        return isinstance(value, str) and value in spec
+    return PARAM_TYPES[spec][0](value)
+
+
+@st.composite
+def bad_requests(draw):
+    """A request of any type with one fault drawn from its schema: a
+    wrong-typed value, a missing required key, or an unknown key."""
+    kind = draw(st.sampled_from(REQUEST_TYPES))
+    schema = REQUEST_PARAMS[kind]
+    needed = schema.required + (schema.one_of[0] if schema.one_of else ())
+    params = {key: VALID[schema.keys[key]] for key in needed}
+    fault = draw(st.sampled_from(["wrong_type", "missing", "unknown"]))
+    if fault == "missing" and needed:
+        del params[draw(st.sampled_from(needed))]
+    elif fault == "wrong_type" and schema.keys:
+        key = draw(st.sampled_from(sorted(schema.keys)))
+        spec = schema.keys[key]
+        if isinstance(spec, Params):  # a wrong value one level down
+            sub = draw(st.sampled_from(sorted(spec.keys)))
+            wrong = JSON_VALUES.filter(lambda value: not _accepts(spec.keys[sub], value))
+            params[key] = {sub: draw(wrong)}
+        else:
+            params[key] = draw(JSON_VALUES.filter(lambda value: not _accepts(spec, value)))
+    else:
+        unknown = st.text("abz_", min_size=1, max_size=4)
+        params[draw(unknown.filter(lambda key: key not in schema.keys))] = draw(JSON_VALUES)
+    return kind, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_requests())
+def test_schema_fuzz_gets_invalid_params_from_service_and_router(cores, bad):
+    kind, params = bad
+    for core in (cores["service"], cores["router"]):
+        response = core.submit({"id": 1, "type": kind, "params": copy.deepcopy(params)})
+        assert response["ok"] is False
+        code = response["error"]["code"]
+        assert code in ERROR_CODES and code != "internal", response
+        assert code == "invalid_params", response
