@@ -5,26 +5,23 @@ i.e., only on the changed functions and the affected files in a commit."
 
 The analyzer keeps a warm :class:`~repro.core.project.Project`; replaying
 a commit re-parses only the touched files, determines which functions the
-diff actually reached, and runs the decision tail
-(:func:`~repro.core.valuecheck.decide`) on those functions alone —
-pruning and authorship still see the full project index, which stays
-cached for untouched modules.  The analysis set also takes in every
-function whose verdict can move without a diff reaching it: callers of
-changed functions, and functions whose candidates read an index entry
-the changed modules contribute to."""
+diff actually reached, and settles those functions alone
+(:func:`~repro.core.valuecheck.settle`: resolve → prune) — pruning and
+authorship still see the full project index, which is patched with the
+changed modules' contributions, not rebuilt.  The analysis set also takes
+in every function whose verdict can move without a diff reaching it:
+callers of changed functions, and functions whose candidates read an
+index entry the patch changed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro import obs
 from repro.core.findings import CandidateKind, Finding
-from repro.core.project import CallSite, Project
-from repro.core.valuecheck import ValueCheckConfig, decide
-from repro.engine import DEFAULT_CACHE, AnalysisEngine
-from repro.engine.scheduler import EngineStats
-from repro.engine.worker import ModuleResult
+from repro.core.project import IndexChanges, Project
+from repro.core.valuecheck import ValueCheckConfig, rank, settle
 from repro.errors import AnalysisError
 from repro.obs.clock import monotonic
 from repro.ir.builder import lower_source
@@ -32,12 +29,19 @@ from repro.vcs.diff import myers_diff
 from repro.vcs.objects import Commit
 from repro.vcs.repository import Repository
 
+if TYPE_CHECKING:
+    from repro.engine.scheduler import EngineStats
+    from repro.engine.worker import ModuleResult
+
 
 @dataclass
 class IncrementalResult:
     commit_id: str
     changed_files: list[str] = field(default_factory=list)
     changed_functions: list[str] = field(default_factory=list)
+    # The re-analysed functions' findings: settled (``is_reported`` is
+    # final) by ``analyze_changes``, and ranked among themselves by
+    # ``replay_next``.
     findings: list[Finding] = field(default_factory=list)
     # Monotonic-clock duration of this incremental step (see
     # repro.obs.clock — never wall-clock, daemons run across NTP slews).
@@ -87,20 +91,6 @@ def changed_line_ranges(old_text: str, new_text: str) -> list[tuple[int, int]]:
     return ranges
 
 
-def _index_entries(results: list[ModuleResult]):
-    """What some modules contribute to the index entries candidates read:
-    the call sites of each callee, and the usage flags of each
-    (signature, parameter index)."""
-    sites: dict[str, list[CallSite]] = {}
-    params: dict[tuple[tuple[str, ...], int], list[bool]] = {}
-    for result in results:
-        for site in result.contribution.call_sites:
-            sites.setdefault(site.callee, []).append(site)
-        for signature, index, used in result.contribution.param_usage:
-            params.setdefault((signature, index), []).append(used)
-    return sites, params
-
-
 class IncrementalAnalyzer:
     """Replay commits one by one, analysing only what changed."""
 
@@ -135,6 +125,10 @@ class IncrementalAnalyzer:
         return analyzer
 
     def _bind(self, project: Project, rev: int, config: ValueCheckConfig | None) -> None:
+        # Imported lazily: the engine's scheduler imports repro.core,
+        # whose package import reaches this module.
+        from repro.engine import DEFAULT_CACHE, AnalysisEngine
+
         self.repo = project.repo
         self.config = config or ValueCheckConfig()
         self.current_rev = rev
@@ -158,9 +152,11 @@ class IncrementalAnalyzer:
         self.detection_order: dict[str, tuple[str, int]] = {}
         self._place(list(self._results.values()), present=True)
         _ = self.project.index
+        self.project.index_changes()
 
     def replay_next(self) -> IncrementalResult:
-        """Advance one commit and analyse the changes it introduces."""
+        """Advance one commit and analyse the changes it introduces; the
+        result's findings are ranked among themselves."""
         if self.repo is None:
             raise AnalysisError("project has no repository to replay")
         next_rev = self.current_rev + 1
@@ -170,6 +166,14 @@ class IncrementalAnalyzer:
         result = self.analyze_changes(
             commit_changes(commit), label=commit.commit_id, rev=commit.commit_id
         )
+        result.findings = rank(
+            self.project,
+            result.findings,
+            self.config,
+            commit.commit_id,
+            fresh=result.findings,
+            provenance=result.provenance,
+        ).findings
         self.current_rev = next_rev
         return result
 
@@ -198,6 +202,12 @@ class IncrementalAnalyzer:
         re-analyses whole modules anyway, so this costs only resolution
         and pruning, and it lets a warm session splice the result over
         its previous full report without stale per-file findings.
+
+        The cost follows the change, not the project: one engine pass
+        over the changed modules, an index patch of their contributions,
+        and resolution and pruning of the analysis set.  The findings
+        come back settled, not ranked: ranking reads every reported
+        finding, so it is the caller's one pass over its whole report.
         """
         started = monotonic()
         result = IncrementalResult(commit_id=label, changed_files=sorted(changes))
@@ -244,7 +254,7 @@ class IncrementalAnalyzer:
         self._place(before, present=False)
         self._place(after, present=True)
 
-        widened = self._reading_moved_entries(before, after)
+        widened = self._reading_moved_entries(self.project.index_changes())
         # Call-site candidates (ignored returns) and parameter candidates
         # span the call boundary: changing a callee can create findings in
         # its callers.
@@ -273,38 +283,19 @@ class IncrementalAnalyzer:
         ]
         for candidate in candidates:
             result.provenance.add_detection(obs.detection_record(candidate))
-        result.findings = decide(
+        result.findings = settle(
             self.project, candidates, self.config, rev, provenance=result.provenance
-        ).findings
+        )
         result.seconds = monotonic() - started
         return result
 
-    def _reading_moved_entries(
-        self, before: list[ModuleResult], after: list[ModuleResult]
-    ) -> set[tuple[str, str]]:
+    def _reading_moved_entries(self, changes: IndexChanges) -> set[tuple[str, str]]:
         """Functions whose verdicts a change can move without reaching
-        them: their candidates read an index entry the changed modules
-        contribute to, and that contribution changed.  A parameter
-        candidate reads its function's call sites and its (signature,
-        index) usage flags; an ignored return reads its callee's
-        return-usage flags."""
-        old_sites, old_params = _index_entries(before)
-        new_sites, new_params = _index_entries(after)
-
-        def usage(sites) -> list[bool]:
-            return sorted(site.result_used for site in sites or ())
-
-        sites = {
-            callee
-            for callee in old_sites.keys() | new_sites.keys()
-            if old_sites.get(callee) != new_sites.get(callee)
-        }
-        returns = {c for c in sites if usage(old_sites.get(c)) != usage(new_sites.get(c))}
-        params = {
-            key
-            for key in old_params.keys() | new_params.keys()
-            if sorted(old_params.get(key, ())) != sorted(new_params.get(key, ()))
-        }
+        them: their candidates read an index entry the patch changed.  A
+        parameter candidate reads its function's call sites and its
+        (signature, index) usage flags; an ignored return reads its
+        callee's return-usage flags."""
+        sites, returns, params = changes.sites, changes.returns, changes.params
         index = self.project.index
         signatures = {signature for signature, _ in params}
         suspects = {(loc.file, loc.name) for loc in map(index.location, sites) if loc}
@@ -314,9 +305,12 @@ class IncrementalAnalyzer:
             for site in index.sites_of(callee)
             if not site.result_used
         }
-        suspects |= {
-            (loc.file, loc.name) for loc in index.functions.values() if loc.signature in signatures
-        }
+        if signatures:
+            suspects |= {
+                (loc.file, loc.name)
+                for loc in index.functions.values()
+                if loc.signature in signatures
+            }
 
         moved: set[tuple[str, str]] = set()
         for path, name in suspects:

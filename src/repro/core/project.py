@@ -10,6 +10,7 @@ calls it from where, and how peers treat the same return value/parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro import obs
 from repro.dataflow.liveness import live_variables
@@ -48,21 +49,136 @@ class CallSite:
     result_used: bool
 
 
+ParamKey = tuple[tuple[str, ...], int]
+
+
+def _site_order(site: CallSite) -> tuple[str, int]:
+    return site.file, site.line
+
+
+def _by_callee(contribution: "ModuleContribution | None") -> dict[str, list[CallSite]]:
+    sites: dict[str, list[CallSite]] = {}
+    for site in contribution.call_sites if contribution is not None else ():
+        sites.setdefault(site.callee, []).append(site)
+    return sites
+
+
+def _flags_by_key(contribution: "ModuleContribution | None") -> dict[ParamKey, tuple[bool, ...]]:
+    flags: dict[ParamKey, list[bool]] = {}
+    for signature, index, used in contribution.param_usage if contribution is not None else ():
+        flags.setdefault((signature, index), []).append(used)
+    return {key: tuple(values) for key, values in flags.items()}
+
+
 @dataclass
 class ProjectIndex:
     """Cross-file facts: definitions, call sites, peer usage.
 
-    Once built the per-callee collections are frozen tuples: the accessors
-    below are hot paths (every candidate probes them during authorship and
-    pruning) and handing out the internal lists would let a caller corrupt
-    the index shared across analyses.
+    The per-callee collections are frozen tuples: the accessors below are
+    hot paths (every candidate probes them during authorship and pruning)
+    and handing out the internal lists would let a caller corrupt the
+    index shared across analyses.  :meth:`build` merges every module's
+    contribution; :meth:`patch` swaps one module's and leaves the index
+    equal to a fresh build.
     """
 
     functions: dict[str, FunctionLocation] = field(default_factory=dict)
     call_sites: dict[str, tuple[CallSite, ...]] = field(default_factory=dict)
     # (signature, param index) -> usage flags of that parameter across all
     # functions sharing the signature (peer-definition pruning, shape 2).
-    param_usage: dict[tuple[tuple[str, ...], int], tuple[bool, ...]] = field(default_factory=dict)
+    param_usage: dict[ParamKey, tuple[bool, ...]] = field(default_factory=dict)
+    # What a patch needs to re-derive an entry as a build orders it: each
+    # module's contribution, and each usage entry's flags per module.
+    contributions: dict[str, "ModuleContribution"] = field(default_factory=dict, repr=False)
+    flag_shares: dict[ParamKey, dict[str, tuple[bool, ...]]] = field(
+        default_factory=dict, repr=False
+    )
+
+    @classmethod
+    def build(cls, contributions: Mapping[str, "ModuleContribution"]) -> "ProjectIndex":
+        """Merge contributions in sorted path order: the last path that
+        defines a name wins, call sites sort by (file, line), and usage
+        flags follow path order."""
+        index = cls()
+        call_sites: dict[str, list[CallSite]] = {}
+        for path in sorted(contributions):
+            contribution = contributions[path]
+            index.contributions[path] = contribution
+            index.functions.update(contribution.functions)
+            for site in contribution.call_sites:
+                call_sites.setdefault(site.callee, []).append(site)
+            for key, flags in _flags_by_key(contribution).items():
+                index.flag_shares.setdefault(key, {})[path] = flags
+        for callee, sites in call_sites.items():
+            sites.sort(key=_site_order)
+            index.call_sites[callee] = tuple(sites)
+        for key, shares in index.flag_shares.items():
+            index.param_usage[key] = tuple(flag for flags in shares.values() for flag in flags)
+        return index
+
+    def patch(
+        self, path: str, contribution: "ModuleContribution | None"
+    ) -> tuple[dict[str, tuple[CallSite, ...]], dict[ParamKey, tuple[bool, ...]]]:
+        """Replace module ``path``'s contribution (``None`` removes the
+        module).  Returns the call-site and usage entries it rewrote,
+        each with the value it had before."""
+        old = self.contributions.pop(path, None)
+        if contribution is not None:
+            self.contributions[path] = contribution
+        self._patch_functions(path, old, contribution)
+
+        old_sites, new_sites = _by_callee(old), _by_callee(contribution)
+        moved_sites: dict[str, tuple[CallSite, ...]] = {}
+        for callee in old_sites.keys() | new_sites.keys():
+            if old_sites.get(callee) == new_sites.get(callee):
+                continue
+            before = moved_sites[callee] = self.call_sites.get(callee, ())
+            sites = [site for site in before if site.file != path]
+            sites += new_sites.get(callee, ())
+            sites.sort(key=_site_order)
+            if sites:
+                self.call_sites[callee] = tuple(sites)
+            else:
+                del self.call_sites[callee]
+
+        old_flags, new_flags = _flags_by_key(old), _flags_by_key(contribution)
+        moved_flags: dict[ParamKey, tuple[bool, ...]] = {}
+        for key in old_flags.keys() | new_flags.keys():
+            if old_flags.get(key) == new_flags.get(key):
+                continue
+            moved_flags[key] = self.param_usage.get(key, ())
+            shares = self.flag_shares.setdefault(key, {})
+            if key in new_flags:
+                shares[path] = new_flags[key]
+            else:
+                del shares[path]
+            if shares:
+                self.param_usage[key] = tuple(
+                    flag for share in sorted(shares) for flag in shares[share]
+                )
+            else:
+                del self.flag_shares[key], self.param_usage[key]
+        return moved_sites, moved_flags
+
+    def _patch_functions(
+        self, path: str, old: "ModuleContribution | None", new: "ModuleContribution | None"
+    ) -> None:
+        defined = new.functions if new is not None else {}
+        for name, location in defined.items():
+            current = self.functions.get(name)
+            if current is None or current.file <= path:
+                self.functions[name] = location
+        for name in old.functions.keys() - defined.keys() if old is not None else ():
+            if self.functions[name].file != path:
+                continue
+            # The winner went away: the next path in sorted order wins.
+            others = [
+                other for other, share in self.contributions.items() if name in share.functions
+            ]
+            if others:
+                self.functions[name] = self.contributions[max(others)].functions[name]
+            else:
+                del self.functions[name]
 
     def location(self, name: str) -> FunctionLocation | None:
         return self.functions.get(name)
@@ -77,6 +193,22 @@ class ProjectIndex:
 
     def peer_params(self, signature: tuple[str, ...], index: int) -> tuple[bool, ...]:
         return self.param_usage.get((signature, index), ())
+
+
+@dataclass(frozen=True)
+class IndexChanges:
+    """Index entries whose value a patch changed: callees whose call
+    sites moved, the subset whose result-used flags changed as a
+    multiset, and the (signature, index) keys whose usage flags changed
+    as a multiset."""
+
+    sites: set[str] = field(default_factory=set)
+    returns: set[str] = field(default_factory=set)
+    params: set[ParamKey] = field(default_factory=set)
+
+
+def _usage(sites: tuple[CallSite, ...]) -> list[bool]:
+    return sorted(site.result_used for site in sites)
 
 
 @dataclass
@@ -174,6 +306,11 @@ class Project:
         self._vfgs: dict[str, ValueFlowGraph] = {}
         self._contribs: dict[str, ModuleContribution] = {}
         self._index: ProjectIndex | None = None
+        # Paths whose share of the built index is out of date, and what
+        # each entry held before the first patch since index_changes().
+        self._stale: set[str] = set()
+        self._prior_sites: dict[str, tuple[CallSite, ...]] = {}
+        self._prior_flags: dict[ParamKey, tuple[bool, ...]] = {}
         # Revision-keyed caches for analysis helpers (BlameIndex and the
         # cross-scope resolver) — rebuilt only when the keyed rev changes
         # or the project is invalidated, not on every analyze() call.
@@ -224,7 +361,9 @@ class Project:
     def set_source(self, path: str, text: str | None, module: Module | None = None) -> None:
         """Replace one module's text (``None`` removes the module);
         ``module`` is the new text's IR when the caller already lowered
-        it.  Every per-module analysis of ``path`` is dropped."""
+        it.  Every per-module analysis of ``path`` is dropped, and the
+        next read of :attr:`index` patches the module's old contribution
+        out and its new one in."""
         self._modules.pop(path, None)
         self._regions.pop(path, None)
         if text is None:
@@ -259,20 +398,48 @@ class Project:
 
     @property
     def index(self) -> ProjectIndex:
+        """The project index: built on first read, then patched per
+        changed module (equal to a fresh :meth:`_build_index`)."""
         if self._index is None:
             self._index = self._build_index()
+            self._stale.clear()
+        elif self._stale:
+            self._patch_index()
         return self._index
 
+    def index_changes(self) -> IndexChanges:
+        """The index entries whose value changed since the previous call
+        (after patching in every pending module change)."""
+        index = self.index
+        sites = {
+            callee
+            for callee, before in self._prior_sites.items()
+            if index.sites_of(callee) != before
+        }
+        returns = {
+            callee
+            for callee in sites
+            if _usage(self._prior_sites[callee]) != _usage(index.sites_of(callee))
+        }
+        params = {
+            key
+            for key, before in self._prior_flags.items()
+            if sorted(before) != sorted(index.peer_params(*key))
+        }
+        self._prior_sites.clear()
+        self._prior_flags.clear()
+        return IndexChanges(sites=sites, returns=returns, params=params)
+
     def invalidate(self, paths: set[str] | None = None) -> None:
-        """Drop cached per-module analyses (after incremental updates)."""
+        """Drop cached per-module analyses (after incremental updates);
+        the index re-reads those modules' contributions when next read."""
         if paths is None:
-            self._vfgs.clear()
-            self._contribs.clear()
-        else:
-            for path in paths:
-                self._vfgs.pop(path, None)
-                self._contribs.pop(path, None)
-        self._index = None
+            paths = set(self.sources) | set(self._contribs) | set(self._vfgs)
+        for path in paths:
+            self._vfgs.pop(path, None)
+            self._contribs.pop(path, None)
+        if self._index is not None:
+            self._stale |= paths
         # Resolvers capture the index, so they are stale now; blame data
         # depends only on (repo, rev) and stays valid.
         self._resolver_cache.clear()
@@ -322,22 +489,20 @@ class Project:
 
     @obs.traced("core.index")
     def _build_index(self) -> ProjectIndex:
-        index = ProjectIndex()
-        call_sites: dict[str, list[CallSite]] = {}
-        param_usage: dict[tuple[tuple[str, ...], int], list[bool]] = {}
-        for path in sorted(self.sources):
-            contribution = self._contribution(path)
-            index.functions.update(contribution.functions)
-            for site in contribution.call_sites:
-                call_sites.setdefault(site.callee, []).append(site)
-            for signature, param_index, used in contribution.param_usage:
-                param_usage.setdefault((signature, param_index), []).append(used)
-        for callee, sites in call_sites.items():
-            sites.sort(key=lambda site: (site.file, site.line))
-            index.call_sites[callee] = tuple(sites)
-        for key, flags in param_usage.items():
-            index.param_usage[key] = tuple(flags)
-        return index
+        return ProjectIndex.build(
+            {path: self._contribution(path) for path in sorted(self.sources)}
+        )
+
+    @obs.traced("core.index")
+    def _patch_index(self) -> None:
+        for path in sorted(self._stale):
+            contribution = self._contribution(path) if path in self.sources else None
+            sites, flags = self._index.patch(path, contribution)
+            for callee, before in sites.items():
+                self._prior_sites.setdefault(callee, before)
+            for key, before in flags.items():
+                self._prior_flags.setdefault(key, before)
+        self._stale.clear()
 
     # -- conveniences -------------------------------------------------------
 

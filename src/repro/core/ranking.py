@@ -69,8 +69,10 @@ def rank_findings(
     findings keep detection order, matching the paper's ablation of
     "select the first 20 cross-scope unused definitions detected".
     """
-    reported = [finding for finding in findings if finding.is_reported]
-    others = [finding for finding in findings if not finding.is_reported]
+    reported: list[Finding] = []
+    others: list[Finding] = []
+    for finding in findings:
+        (reported if finding.is_reported else others).append(finding)
     if use_familiarity and model is not None:
         reported = [score_finding(finding, model, until_rev) for finding in reported]
         reported.sort(

@@ -8,17 +8,19 @@ the Table 6 experiment builds its "w/o Authorship", "w/o Familiarity" and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.core.familiarity import DokModel, DokWeights, EaModel
 from repro.core.findings import AuthorshipInfo, Candidate, Finding
 from repro.core.project import Project
-from repro.core.pruning import PruneContext, default_pipeline
+from repro.core.pruning import PruneContext, PruningPipeline, default_pipeline
 from repro.core.ranking import rank_findings
 from repro.core.report import Report
-from repro.engine import DEFAULT_CACHE, AnalysisEngine, EngineRun
 from repro.obs.clock import monotonic
+
+if TYPE_CHECKING:
+    from repro.engine import AnalysisEngine
 
 
 @dataclass(frozen=True)
@@ -133,32 +135,44 @@ def _is_cross_scope(finding: Finding) -> bool:
     return finding.authorship is not None and finding.authorship.cross_scope
 
 
-def decide(
-    project: Project,
-    candidates: list[Candidate],
-    config: ValueCheckConfig,
-    rev: int | str | None = None,
-    kept: Sequence[Finding] = (),
-    metrics: obs.MetricsRegistry | None = None,
-    provenance: obs.ProvenanceLog | None = None,
-) -> Report:
-    """The decision tail of every analysis: resolve → prune → rank.
-
-    ``candidates`` are resolved (authorship or its ablation; semantic
-    kinds by :func:`resolve_semantic`) and the cross-scope ones pruned.
-    ``kept`` are findings decided earlier whose inputs did not change (a
-    warm session's untouched functions); they must come in detection
-    order.  All are ranked together in cold order: cross-scope before
-    local, classic before semantic kinds, input order within each part.
-    ``provenance`` gets every decided finding's slices and status; of
-    the kept ones only the reported are restamped (only ranks move).
-    """
+def _packs(config: ValueCheckConfig):
+    """The enabled rule packs and the kinds they resolve semantically."""
     # Imported lazily: repro.rules pulls in repro.core, whose package
     # import reaches back into this module.
     from repro.rules.registry import resolve_rules, semantic_kinds
 
     packs = resolve_rules(config.rules)
-    evidence_kinds = semantic_kinds(packs)
+    return packs, semantic_kinds(packs)
+
+
+def _pipeline(config: ValueCheckConfig) -> PruningPipeline:
+    return default_pipeline(
+        enable=set(config.pruners) if config.pruners is not None else None,
+        min_increments=config.cursor_min_increments,
+        peer_min_occurrences=config.peer_min_occurrences,
+        peer_unused_fraction=config.peer_unused_fraction,
+        include_history=config.history_pruning,
+    )
+
+
+def settle(
+    project: Project,
+    candidates: list[Candidate],
+    config: ValueCheckConfig,
+    rev: int | str | None = None,
+    metrics: obs.MetricsRegistry | None = None,
+    provenance: obs.ProvenanceLog | None = None,
+) -> list[Finding]:
+    """The first half of every analysis's decision: resolve → prune.
+
+    ``candidates`` are resolved (authorship or its ablation; semantic
+    kinds by :func:`resolve_semantic`) and the cross-scope ones pruned,
+    so ``is_reported`` is final on every returned finding.  They come
+    back in :func:`rank`'s partition order: cross-scope before local,
+    classic before semantic kinds, candidate order within each part.
+    ``provenance`` gets each finding's resolution and pruner verdicts.
+    """
+    packs, evidence_kinds = _packs(config)
     classic = [c for c in candidates if c.kind not in evidence_kinds]
     semantic = [c for c in candidates if c.kind in evidence_kinds]
     if config.use_authorship:
@@ -175,28 +189,48 @@ def decide(
     if metrics is not None:
         metrics.inc("resolve.cross_scope", len(cross))
         metrics.inc("resolve.local", len(rest))
-
-    pipeline = default_pipeline(
-        enable=set(config.pruners) if config.pruners is not None else None,
-        min_increments=config.cursor_min_increments,
-        peer_min_occurrences=config.peer_min_occurrences,
-        peer_unused_fraction=config.peer_unused_fraction,
-        include_history=config.history_pruning,
-    )
     context = PruneContext(project=project, rev=rev, metrics=metrics, provenance=provenance)
-    cross = pipeline.apply(cross, context, rules=tuple(pack.name for pack in packs))
-    findings = sorted(
-        [*kept, *cross, *rest],
-        key=lambda f: (not _is_cross_scope(f), f.candidate.kind in evidence_kinds),
-    )
+    cross = _pipeline(config).apply(cross, context, rules=tuple(pack.name for pack in packs))
+    return cross + rest
 
+
+def rank(
+    project: Project,
+    findings: Sequence[Finding],
+    config: ValueCheckConfig,
+    rev: int | str | None = None,
+    fresh: Sequence[Finding] = (),
+    metrics: obs.MetricsRegistry | None = None,
+    provenance: obs.ProvenanceLog | None = None,
+) -> Report:
+    """The second half of every analysis's decision: rank settled
+    findings into a report.
+
+    ``findings`` keep their order within each partition — cross-scope
+    before local, classic before semantic kinds — which is cold
+    detection order when they come from :func:`settle` or from a warm
+    session's findings kept in detection order.  Reported findings are
+    ranked by one familiarity model.  ``provenance`` gets the ranking
+    slices, and ``finalize`` stamps the reported records and those of
+    ``fresh`` (the findings settled for this report; the others'
+    records are final already, and only ranks move).
+    """
+    # A tuple: containment tests identity first, sparing Enum.__hash__.
+    semantic = tuple(_packs(config)[1])
+    parts: tuple[list[Finding], ...] = ([], [], [], [])
+    reported = 0
+    for finding in findings:
+        authorship = finding.authorship
+        local = authorship is None or not authorship.cross_scope
+        reported += not local and finding.pruned_by is None  # is_reported
+        parts[2 * local + (finding.candidate.kind in semantic)].append(finding)
     model = None
     if project.repo is not None and config.familiarity_model == "ea":
         model = EaModel(project.repo)
     elif project.repo is not None:
         model = DokModel(project.repo, weights=config.dok_weights)
-    findings = rank_findings(
-        findings,
+    ranked = rank_findings(
+        [finding for part in parts for finding in part],
         model=model,
         until_rev=rev,
         use_familiarity=config.use_familiarity,
@@ -204,14 +238,14 @@ def decide(
         provenance=provenance,
     )
     if provenance is not None:
-        fresh = {finding.key for finding in decided}
+        # rank_findings puts the reported findings first.
         provenance.finalize(
-            [finding for finding in findings if finding.is_reported or finding.key in fresh]
+            ranked[:reported] + [finding for finding in fresh if not finding.is_reported]
         )
     return Report(
         project=project.name,
-        findings=findings,
-        prune_stats=pipeline.stats(findings),
+        findings=ranked,
+        prune_stats=_pipeline(config).stats(ranked),
         provenance=provenance,
     )
 
@@ -222,7 +256,11 @@ class ValueCheck:
     def __init__(self, config: ValueCheckConfig | None = None):
         self.config = config or ValueCheckConfig()
 
-    def _engine(self) -> AnalysisEngine:
+    def _engine(self) -> "AnalysisEngine":
+        # Imported lazily: the engine's scheduler imports repro.core,
+        # whose package import reaches this module.
+        from repro.engine import DEFAULT_CACHE, AnalysisEngine
+
         return AnalysisEngine(
             executor=self.config.executor,
             workers=self.config.workers,
@@ -257,15 +295,22 @@ class ValueCheck:
         registry = telemetry.metrics
         provenance = obs.ProvenanceLog()
         with obs.use(telemetry), telemetry.tracer.span("core.pipeline", project=project.name):
-            engine_run: EngineRun = self._engine().run(
-                project, metrics=registry, provenance=provenance
-            )
+            engine_run = self._engine().run(project, metrics=registry, provenance=provenance)
             registry.inc("detect.candidates", len(engine_run.candidates))
-            report = decide(
+            settled = settle(
                 project,
                 engine_run.candidates,
                 self.config,
                 rev,
+                metrics=registry,
+                provenance=provenance,
+            )
+            report = rank(
+                project,
+                settled,
+                self.config,
+                rev,
+                fresh=settled,
                 metrics=registry,
                 provenance=provenance,
             )

@@ -97,23 +97,44 @@ class ProvenanceRecord:
     status: str = "detected"
     pruned_by: str | None = None
     rank: int | None = None
+    # ``as_dict()`` and ``render_record()`` of the record as it stands.
+    # Every :class:`ProvenanceLog` mutator clears them; ``init=False``
+    # keeps ``dataclasses.replace`` from copying them into a copy that
+    # is about to be restamped.
+    _dict: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        """The record as plain data.  The detection, resolution, evidence
-        and ranking slices are the record's own dicts, not copies: the log
-        only ever replaces them, and a warm session's explain snapshots
-        every record after each diff, so treat them as read-only."""
-        return {
-            "schema": PROVENANCE_SCHEMA_VERSION,
-            "key": self.key,
-            "status": self.status,
-            "rank": self.rank,
-            "pruned_by": self.pruned_by,
-            "detection": self.detection,
-            "resolution": self.resolution,
-            "verdicts": [verdict.as_dict() for verdict in self.verdicts],
-            "ranking": self.ranking,
-        }
+        """The record as plain data, built once until the log next
+        changes the record.  The dict and its detection, resolution,
+        evidence and ranking slices are shared, not copied: a warm
+        session's ``explain`` hands out the same objects after every
+        diff, so treat them as read-only."""
+        if self._dict is None:
+            self._dict = {
+                "schema": PROVENANCE_SCHEMA_VERSION,
+                "key": self.key,
+                "status": self.status,
+                "rank": self.rank,
+                "pruned_by": self.pruned_by,
+                "detection": self.detection,
+                "resolution": self.resolution,
+                "verdicts": [verdict.as_dict() for verdict in self.verdicts],
+                "ranking": self.ranking,
+            }
+        return self._dict
+
+    def rendered(self) -> str:
+        """:func:`render_record` of this record, built once until the log
+        next changes the record."""
+        if self._text is None:
+            self._text = render_record(self)
+        return self._text
+
+    def touch(self) -> None:
+        """Forget the cached views (every mutation calls this)."""
+        self._dict = None
+        self._text = None
 
 
 class ProvenanceLog:
@@ -129,6 +150,9 @@ class ProvenanceLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: dict[str, ProvenanceRecord] = {}
+        # Keys of the records whose status is "reported": the ones a
+        # splice must copy rather than share.
+        self._reported: set[str] = set()
 
     # -- recording -------------------------------------------------------
 
@@ -143,6 +167,7 @@ class ProvenanceLog:
         with self._lock:
             record = self._record(detection["key"])
             record.detection = dict(detection)
+            record.touch()
 
     def merge_detections(self, detections: list[dict]) -> None:
         """Fold one module's detection slice in (scheduler merge path)."""
@@ -155,6 +180,8 @@ class ProvenanceLog:
             record.resolution = dict(resolution)
             if not resolution.get("cross_scope", False):
                 record.status = "not_cross_scope"
+                self._reported.discard(key)
+            record.touch()
 
     def add_verdict(self, key: str, verdict: PrunerVerdict) -> None:
         with self._lock:
@@ -163,11 +190,14 @@ class ProvenanceLog:
             if verdict.pruned:
                 record.status = "pruned"
                 record.pruned_by = verdict.pruner
+                self._reported.discard(key)
+            record.touch()
 
     def set_ranking(self, key: str, ranking: dict) -> None:
         with self._lock:
             record = self._record(key)
             record.ranking = dict(ranking)
+            record.touch()
 
     def finalize(self, findings) -> None:
         """Stamp each finding's terminal status and rank position."""
@@ -182,19 +212,32 @@ class ProvenanceLog:
                     record.status = "reported"
                 elif finding.pruned_by is not None:
                     record.status = "pruned"
+                if record.status == "reported":
+                    self._reported.add(record.key)
+                else:
+                    self._reported.discard(record.key)
+                record.touch()
 
     def splice(self, dropped: set[str], fresh: "ProvenanceLog") -> "ProvenanceLog":
         """A new log: this log's records except ``dropped`` ones, then all
         of ``fresh``'s.  Records are shared, not copied — except reported
-        ones, whose rank a re-ranking of the new log restamps."""
+        ones, whose rank a re-ranking of the new log restamps; their
+        copies own their verdict lists and start with empty caches, so
+        this log's records and cached views stay as they were.  The cost
+        is a dict copy plus O(dropped + reported) work."""
         spliced = ProvenanceLog()
+        records, reported = spliced._records, spliced._reported
         for log, skip in ((self, dropped), (fresh, ())):
             with log._lock:
-                for key, record in log._records.items():
-                    if key not in skip:
-                        if record.status == "reported":
-                            record = replace(record)
-                        spliced._records[key] = record
+                records.update(log._records)
+                for key in skip:
+                    records.pop(key, None)
+                # A record this log brings replaces an earlier log's.
+                reported -= {key for key in reported if key in log._records}
+                for key in log._reported.difference(skip):
+                    record = log._records[key]
+                    records[key] = replace(record, verdicts=list(record.verdicts))
+                    reported.add(key)
         return spliced
 
     # -- reading ---------------------------------------------------------
@@ -362,4 +405,5 @@ def render_record(record: ProvenanceRecord) -> str:
 
 
 def render_records(records: list[ProvenanceRecord]) -> str:
-    return "\n\n".join(render_record(record) for record in records)
+    """The records' decision trees, each rendered once per change."""
+    return "\n\n".join(record.rendered() for record in records)

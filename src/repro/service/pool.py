@@ -15,7 +15,9 @@ pool owns their lifecycle:
 * **Respawn** — dead workers are killed and restarted in the same slot
   with a bumped *generation*.  The generation is how the router knows a
   slot's warm state is gone: a session last opened on (slot 2, gen 1)
-  must be re-opened before (slot 2, gen 2) can serve it.
+  must be re-opened before (slot 2, gen 2) can serve it.  A respawn
+  whose spawn fails leaves the slot dead; the probe thread starts it
+  again at its next tick.
 
 Shard placement is a consistent-hash ring over the worker *slots*
 (:class:`HashRing`): ``project_id`` hashes to a point, the owner is the
@@ -334,6 +336,11 @@ class WorkerPool:
         )
         if self.metrics is not None:
             self.metrics.inc("router.worker.deaths")
+        self._start_respawn_locked(handle)
+
+    def _start_respawn_locked(self, handle: WorkerHandle) -> None:
+        """Replace a dead worker on a thread of its own, unless a
+        replacement is already under way."""
         if self.auto_respawn and not self._stopped.is_set():
             if handle.slot not in self._respawning:
                 self._respawning.add(handle.slot)
@@ -384,7 +391,7 @@ class WorkerPool:
                 pid=fresh.pid,
                 port=fresh.port,
             )
-        except Exception as error:  # pragma: no cover - spawn env failures
+        except Exception as error:  # a failed spawn: the probe loop retries it
             if self.metrics is not None:
                 self.metrics.inc("router.worker.respawn_failures")
             self._emit("worker.respawn_failed", slot=slot, error=str(error))
@@ -400,6 +407,10 @@ class WorkerPool:
                 if self._stopped.is_set():
                     return
                 if not handle.alive:
+                    # Still dead after its respawn failed: try again, at
+                    # most once per probe interval.
+                    with self._lock:
+                        self._start_respawn_locked(handle)
                     continue
                 self.probes += 1
                 if self._probe(handle):

@@ -46,9 +46,6 @@ import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-# The engine imports the core, whose pipeline imports the engine back:
-# importing the engine first breaks that cycle, so the core goes first.
-import repro.core  # noqa: F401
 from repro.engine import EXECUTOR_KINDS
 
 PROTOCOL_VERSION = 1

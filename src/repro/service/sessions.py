@@ -4,12 +4,16 @@ A :class:`ProjectSession` is the daemon's unit of warm state: a
 :class:`~repro.core.project.Project` (source text, plus IR only for
 modules that missed the module cache), the incremental analyzer bound to
 it (whose engine shares the process-wide content-addressed cache), and
-the session's current report.  A warm ``analyze_diff`` re-decides only
-the functions the change can affect, splices their findings and
-provenance records over the current report's, and re-ranks through the
-same decision tail a cold run uses — so the response is a *full* report,
-provenance included, at incremental cost, and ``explain`` answers from
-it without re-running anything.
+the session's current report.  A warm ``analyze_diff`` settles only
+the functions the change can affect, splices their findings into the
+session's detection-ordered findings and their provenance records over
+the current report's, and ranks the result once through the same
+:func:`~repro.core.valuecheck.rank` a cold run uses — so the response is
+a *full* report, provenance included.  Every step of that costs
+O(change) except the one linear pass that ranks and counts the merged
+findings.  ``explain`` answers from the report without re-running
+anything, and re-renders only the records restamped since the last
+``explain``.
 
 :class:`SessionManager` bounds the daemon's memory: least-recently-used
 sessions are evicted once the entry cap (``max_sessions``) or the
@@ -22,13 +26,15 @@ state corruption.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
+from repro.core.findings import Finding
 from repro.core.incremental import IncrementalAnalyzer, IncrementalResult, commit_changes
 from repro.core.project import Project
 from repro.core.report import Report
-from repro.core.valuecheck import ValueCheck, ValueCheckConfig, decide
+from repro.core.valuecheck import ValueCheck, ValueCheckConfig, rank
 from repro.obs import EventJournal, MetricsRegistry
 from repro.obs.clock import monotonic
 from repro.store import BaselineEntry, BaselineFile, FindingsStore, evaluate_gate
@@ -62,6 +68,9 @@ class ProjectSession:
     # answered from warm state without re-analysing.
     store: FindingsStore = field(default_factory=FindingsStore.in_memory)
     _last_report: Report | None = None
+    # The current report's findings in cold detection order (None until
+    # a warm step needs them after a full analysis).
+    _ordered: list[Finding] | None = None
     _pending_incrementals: list[IncrementalResult] = field(default_factory=list)
 
     @classmethod
@@ -92,6 +101,7 @@ class ProjectSession:
                 self.project, rev=self._rev_for_analysis()
             )
             self._last_report = report
+            self._ordered = None
             self._pending_incrementals.clear()
             self.analyze_count += 1
             self.last_used = monotonic()
@@ -103,9 +113,10 @@ class ProjectSession:
         """Analyse a change set (or replay one commit) incrementally.
 
         Returns the raw :class:`IncrementalResult` (what was re-analysed,
-        engine cache stats) plus the merged full report: the current
-        report's findings and provenance for untouched functions, fresh
-        ones for re-analysed functions, everything re-ranked together.
+        engine cache stats, settled findings) plus the merged full
+        report: the current report's findings and provenance for
+        untouched functions, fresh ones for re-analysed functions,
+        everything ranked together.
         A session with no report yet analyses fully first, so there is
         something to splice over.
         """
@@ -266,25 +277,63 @@ class ProjectSession:
 
         Findings and provenance records of every function the step did
         not re-analyse are carried over (their inputs did not change, so
-        neither did their verdicts); re-analysed functions bring fresh
-        ones.  The decision tail then re-ranks the merged findings in
-        cold detection order and restamps the reported records.
+        neither did their verdicts); re-analysed functions bring fresh,
+        settled ones.  Detection order is path-major, so each file the
+        step touched is one run of the ordered findings: only those runs
+        are rebuilt.  One ranking pass over the merged findings then
+        restamps the reported records.
         """
         previous = self._last_report
+        order = self.analyzer.detection_order
+
+        def position(finding: Finding) -> tuple[str, int]:
+            return order[finding.candidate.key]
+
+        def path_of(finding: Finding) -> str:
+            return finding.candidate.file
+
+        ordered = self._ordered
+        if ordered is None:
+            # The first step after a full analysis.  Findings of a file
+            # this step changed may have lost their position; they sort
+            # to the front of their file's run, which is dropped below.
+            ordered = sorted(
+                previous.findings,
+                key=lambda finding: order.get(
+                    finding.candidate.key, (finding.candidate.file, -1)
+                ),
+            )
         changed_files = set(result.changed_files)
         analyzed = set(result.analyzed_functions)
-        kept, dropped = [], set()
-        for finding in previous.findings:
-            candidate = finding.candidate
-            if candidate.file in changed_files or (candidate.file, candidate.function) in analyzed:
-                dropped.add(candidate.key)
-            else:
-                kept.append(finding)
-        order = self.analyzer.detection_order
-        merged = sorted([*kept, *result.findings], key=lambda finding: order[finding.key])
+        fresh: dict[str, list[Finding]] = {}
+        for finding in result.findings:
+            fresh.setdefault(finding.candidate.file, []).append(finding)
+        merged: list[Finding] = []
+        dropped: set[str] = set()
+        start = 0
+        for path in sorted(changed_files.union(path for path, _ in analyzed)):
+            low = bisect_left(ordered, path, start, key=path_of)
+            high = bisect_right(ordered, path, low, key=path_of)
+            merged += ordered[start:low]
+            run = []
+            for finding in ordered[low:high]:
+                candidate = finding.candidate
+                if path in changed_files or (path, candidate.function) in analyzed:
+                    dropped.add(candidate.key)
+                else:
+                    run.append(finding)
+            run += fresh.get(path, ())
+            merged += sorted(run, key=position)
+            start = high
+        merged += ordered[start:]
         provenance = previous.provenance.splice(dropped, result.provenance)
-        report = decide(
-            self.project, [], self.config, rev, kept=merged, provenance=provenance
+        report = rank(
+            self.project,
+            merged,
+            self.config,
+            rev,
+            fresh=result.findings,
+            provenance=provenance,
         )
         report = replace(
             report,
@@ -293,6 +342,7 @@ class ProjectSession:
             converged=not result.engine_stats.non_converged,
         )
         self._last_report = report
+        self._ordered = merged
         return report
 
     # -- introspection ---------------------------------------------------

@@ -18,7 +18,7 @@ import repro.frontend.parser as parser_module
 import repro.ir.builder as builder_module
 from repro.core.incremental import IncrementalAnalyzer
 from repro.core.project import Project
-from repro.core.valuecheck import ValueCheckConfig, decide
+from repro.core.valuecheck import ValueCheckConfig, rank, settle
 from repro.corpus import generate_app
 from repro.engine import AnalysisEngine
 from repro.service import AnalysisService, ServiceConfig
@@ -62,14 +62,14 @@ def test_building_a_project_lowers_nothing(sources, frontend):
 def test_cold_serial_analyse_lowers_every_module_once(sources, frontend):
     project = Project.from_sources(sources)
     run = AnalysisEngine(cache=None).run(project)
-    decide(project, run.candidates, CONFIG)
+    rank(project, settle(project, run.candidates, CONFIG), CONFIG)
     assert frontend["lowered"] == Counter(dict.fromkeys(sources, 1))
 
 
 def test_cold_process_analyse_lowers_only_in_the_workers(sources, frontend):
     project = Project.from_sources(sources)
     run = AnalysisEngine(executor="process", workers=2, cache=None).run(project)
-    decide(project, run.candidates, CONFIG)
+    rank(project, settle(project, run.candidates, CONFIG), CONFIG)
     assert not frontend["lowered"]
     in_workers = {
         path: sum(span.name == "ir.lower" for span in result.spans)

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.provenance import (
     PROVENANCE_SCHEMA_VERSION,
@@ -10,6 +15,7 @@ from repro.obs.provenance import (
     PrunerVerdict,
     format_evidence,
     render_record,
+    render_records,
 )
 
 
@@ -175,3 +181,164 @@ class TestRendering:
     def test_format_evidence_sorts_and_rounds(self):
         assert format_evidence({"b": 0.5, "a": 1}) == " (a=1, b=0.500)"
         assert format_evidence({}) == ""
+
+
+@dataclass(frozen=True)
+class _Finding:
+    """What ``ProvenanceLog.finalize`` reads of a finding."""
+
+    key: str
+    rank: int | None = None
+    pruned_by: str | None = None
+    is_reported: bool = False
+
+
+KEY = "a.c:f:x:3:dead_store"
+
+#: One call of each ``ProvenanceLog`` mutator, each changing the record.
+MUTATIONS = {
+    "add_detection": lambda log: log.add_detection(_detection(line=4, callee="g")),
+    "set_resolution": lambda log: log.set_resolution(
+        KEY, {"cross_scope": False, "reason": "same author"}
+    ),
+    "add_verdict": lambda log: log.add_verdict(
+        KEY, PrunerVerdict(pruner="cursor", pruned=True, evidence={"delta": 2})
+    ),
+    "set_ranking": lambda log: log.set_ranking(KEY, {"rank": 3, "familiarity": 0.5}),
+    "finalize": lambda log: log.finalize([_Finding(KEY, rank=3, is_reported=True)]),
+}
+
+
+def _views(record) -> tuple[dict, str]:
+    return record.as_dict(), record.rendered()
+
+
+def _uncached_views(record) -> tuple[dict, str]:
+    """The views of a copy that never cached anything."""
+    copy = replace(record)
+    return copy.as_dict(), render_record(copy)
+
+
+class TestCachedViews:
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_each_mutator_clears_the_record_it_touches(self, mutation):
+        log = ProvenanceLog()
+        log.add_detection(_detection())
+        record = log.get(KEY)
+        cached = _views(record)
+        assert json.dumps(cached[0], sort_keys=True) == json.dumps(
+            _uncached_views(record)[0], sort_keys=True
+        )
+        MUTATIONS[mutation](log)
+        assert log.get(KEY) is record
+        assert _views(record) == _uncached_views(record)
+        assert _views(record) != cached
+
+    def test_views_are_built_once(self):
+        log = ProvenanceLog()
+        log.add_detection(_detection())
+        record = log.get(KEY)
+        assert record.as_dict() is record.as_dict()
+        assert record.rendered() is record.rendered()
+        assert render_records([record, record]) == render_record(record) + "\n\n" + render_record(
+            record
+        )
+
+    def test_restamping_a_spliced_copy_leaves_the_earlier_log_alone(self):
+        log = ProvenanceLog()
+        log.add_detection(_detection())
+        log.set_ranking(KEY, {"rank": 1, "familiarity": 0.25})
+        log.finalize([_Finding(KEY, rank=1, is_reported=True)])
+        earlier = log.get(KEY)
+        handed_out = json.dumps(earlier.as_dict(), sort_keys=True), earlier.rendered()
+
+        spliced = log.splice(set(), ProvenanceLog())
+        copy = spliced.get(KEY)
+        assert copy is not earlier and copy._dict is None and copy._text is None
+        spliced.set_ranking(KEY, {"rank": 2, "familiarity": 0.75})
+        spliced.finalize([_Finding(KEY, rank=2, is_reported=True)])
+
+        assert (json.dumps(earlier.as_dict(), sort_keys=True), earlier.rendered()) == handed_out
+        assert "(rank #1)" in earlier.rendered()
+        assert "(rank #2)" in copy.rendered()
+        assert _views(copy) == _uncached_views(copy)
+
+    def test_splice_shares_unreported_and_drops_dropped_records(self):
+        log = ProvenanceLog()
+        for key in ("a.c:f:x:3:dead_store", "a.c:f:y:4:dead_store", "b.c:g:z:5:dead_store"):
+            log.add_detection(_detection(key=key))
+        log.finalize([_Finding("a.c:f:y:4:dead_store", rank=1, is_reported=True)])
+        fresh = ProvenanceLog()
+        fresh.add_detection(_detection(key="b.c:g:z:6:dead_store"))
+        spliced = log.splice({"b.c:g:z:5:dead_store"}, fresh)
+        assert [record.key for record in spliced.records()] == [
+            "a.c:f:x:3:dead_store",
+            "a.c:f:y:4:dead_store",
+            "b.c:g:z:6:dead_store",
+        ]
+        assert spliced.get("a.c:f:x:3:dead_store") is log.get("a.c:f:x:3:dead_store")
+        assert spliced.get("a.c:f:y:4:dead_store") is not log.get("a.c:f:y:4:dead_store")
+        assert spliced.get("b.c:g:z:6:dead_store") is fresh.get("b.c:g:z:6:dead_store")
+
+
+_KEYS = ("a.c:f:x:3:dead_store", "a.c:f:y:4:dead_store")
+
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("add_detection"), st.sampled_from(_KEYS), st.integers(1, 9)),
+    st.tuples(st.just("set_resolution"), st.sampled_from(_KEYS), st.booleans()),
+    st.tuples(
+        st.just("add_verdict"),
+        st.sampled_from(_KEYS),
+        st.sampled_from(("cursor", "unused_hints", "peer_definition")),
+        st.booleans(),
+    ),
+    st.tuples(st.just("set_ranking"), st.sampled_from(_KEYS), st.integers(1, 9)),
+    st.tuples(
+        st.just("finalize"),
+        st.sampled_from(_KEYS),
+        st.one_of(st.none(), st.integers(1, 9)),
+        st.booleans(),
+    ),
+    st.tuples(st.just("splice"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("read"), st.sampled_from(_KEYS)),
+)
+
+
+def _apply(log: ProvenanceLog, operation: tuple) -> ProvenanceLog:
+    kind, key, *args = operation
+    if kind == "add_detection":
+        log.add_detection(_detection(key=key, line=args[0]))
+    elif kind == "set_resolution":
+        log.set_resolution(key, {"cross_scope": args[0], "reason": "r"})
+    elif kind == "add_verdict":
+        log.add_verdict(key, PrunerVerdict(pruner=args[0], pruned=args[1], evidence={"n": 1}))
+    elif kind == "set_ranking":
+        log.set_ranking(key, {"rank": args[0], "familiarity": args[0] / 10})
+    elif kind == "finalize":
+        rank, reported = args
+        log.finalize([_Finding(key, rank=rank, is_reported=reported)])
+    elif kind == "splice":
+        return log.splice({key}, ProvenanceLog())
+    else:
+        for record in log.records():
+            _views(record)
+    return log
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_OPERATIONS, max_size=25))
+def test_cached_views_always_match_uncached_ones(operations):
+    """After any sequence of mutations, splices and reads, every record
+    of every log shows the views of a copy that never cached anything.
+    Splices share unreported records, so the newest log's mutators reach
+    earlier logs' records too; their caches must follow."""
+    logs = [ProvenanceLog()]
+    for key in _KEYS:
+        logs[0].add_detection(_detection(key=key))
+    for operation in operations:
+        current = _apply(logs[-1], operation)
+        if current is not logs[-1]:
+            logs.append(current)
+        for log in logs:
+            for record in log.records():
+                assert _views(record) == _uncached_views(record)

@@ -311,6 +311,36 @@ class TestWorkerFailure:
                 assert monotonic() < deadline, "pool never back to full strength"
                 time.sleep(0.2)
 
+    def test_failed_respawn_is_retried_at_the_next_probe(self, failover):
+        # A spawn that raises must not leave the slot dead for good: the
+        # probe thread starts the respawn again.
+        router, _ = failover
+        pool = router.pool
+        original_spawn = pool._spawn
+        failures: list[int] = []
+
+        def failing_once(slot, generation):
+            if not failures:
+                failures.append(slot)
+                raise OSError("spawn failed")
+            return original_spawn(slot, generation)
+
+        pool._spawn = failing_once
+        victim = pool.handle(0)
+        victim.process.kill()
+        victim.process.wait(timeout=10)
+        pool.report_failure(0, victim.generation)
+        deadline = monotonic() + 20
+        while not pool.handle(0).alive:
+            assert monotonic() < deadline, "the failed respawn was never retried"
+            time.sleep(0.1)
+        assert failures == [0]
+        assert pool.handle(0).generation == victim.generation + 1
+        assert pool.metrics.counter("router.worker.respawn_failures") == 1
+        assert pool.metrics.counter("router.worker.respawns") == 1
+        kinds = [event.kind for event in router.journal.events()]
+        assert kinds.index("worker.respawn_failed") < kinds.index("worker.respawned")
+
     def test_stale_failure_report_ignored(self, failover):
         router, _ = failover
         handle = router.pool.handle(1)

@@ -100,6 +100,40 @@ def test_source_only_edits(app):
         earlier = merged
 
 
+def test_interleaved_requests_keep_the_session_cold_equal(app):
+    """Reads between diffs fill the provenance caches each diff must then
+    invalidate, and a full analysis resets the detection-ordered findings
+    the next diff splices into; neither may leave the session differing
+    from a cold analysis."""
+    config = ValueCheckConfig()
+    build_config = set(app.build_config)
+    project = Project.from_repository(app.repo, rev=START, build_config=build_config)
+    session = ProjectSession.open("warm", project, config, rev=START)
+    for step, rev in enumerate(range(START + 1, START + 1 + STEPS)):
+        explained = session.explain()
+        reported = [row["key"] for row in explained["records"] if row["status"] == "reported"]
+        some_file = explained["records"][0]["detection"]["file"]
+        for fragment in reported[:1] + [some_file]:
+            session.explain(fragment)
+        session.snapshot_baseline()
+        assert "ok" in session.gate()
+        if step % 3 == 1:
+            session.analyze_full()
+        _, merged = session.analyze_diff(commit="next")
+
+        cold_project = Project.from_repository(app.repo, rev=rev, build_config=build_config)
+        cold = ValueCheck(config).analyze(cold_project, rev=rev)
+        explained = {"records": cold.provenance.snapshot(), "rendered": cold.explain()}
+        assert _view(merged, session.explain()) == _view(cold, explained), rev
+        fragments = [finding.key for finding in cold.reported()[:2]] + [some_file]
+        for fragment in fragments:
+            warm = session.explain(fragment)
+            assert warm["records"] == [
+                record.as_dict() for record in cold.provenance.find(fragment)
+            ], (rev, fragment)
+            assert warm["rendered"] == cold.explain(fragment), (rev, fragment)
+
+
 class TestStaleVerdicts:
     """A change moves a verdict in a function the diff never reached."""
 

@@ -1,0 +1,39 @@
+"""Every package imports on its own, as a process's first import.
+
+A cycle between packages (say the engine's scheduler importing the core,
+whose pipeline imports the engine back) only breaks when the cycle's
+second package is imported first, which no in-process test can see once
+any test has imported the first one.  Each import here therefore runs in
+a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGES = sorted(
+    path.parent.name for path in (SRC / "repro").glob("*/__init__.py")
+)
+
+
+def test_every_package_is_listed():
+    assert {"core", "engine", "service", "obs", "rules"} <= set(PACKAGES)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_imports_first(package):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import repro.{package}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
