@@ -50,7 +50,6 @@ class DokModel:
         self.repo = repo
         self.weights = weights or DokWeights()
         self._cache: dict[tuple[str, str, object], dict] = {}
-        self._authors: dict[str, Author] | None = None
 
     def breakdown(
         self, author: Author | str, path: str, until_rev: int | str | None = None
@@ -64,7 +63,7 @@ class DokModel:
         key = (author if isinstance(author, str) else author.name, path, until_rev)
         if key not in self._cache:
             if isinstance(author, str):
-                author = self._author_by_name(author)
+                author = self.repo.author(author) or Author(name=author)
             stats = self.repo.file_stats(path, author, until_rev=until_rev)
             weights = self.weights
             fa = 1 if stats.first_authorship else 0
@@ -89,11 +88,6 @@ class DokModel:
     def score(self, author: Author | str, path: str, until_rev: int | str | None = None) -> float:
         """Familiarity of ``author`` with ``path`` (higher = more familiar)."""
         return self.breakdown(author, path, until_rev=until_rev)["score"]
-
-    def _author_by_name(self, name: str) -> Author:
-        if self._authors is None:
-            self._authors = {author.name: author for author in self.repo.authors()}
-        return self._authors.get(name) or Author(name=name)
 
 
 # Commit-type weights for the EA model: new functionality implies deeper

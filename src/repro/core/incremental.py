@@ -305,12 +305,11 @@ class IncrementalAnalyzer:
             for site in index.sites_of(callee)
             if not site.result_used
         }
-        if signatures:
-            suspects |= {
-                (loc.file, loc.name)
-                for loc in index.functions.values()
-                if loc.signature in signatures
-            }
+        suspects |= {
+            (index.functions[name].file, name)
+            for signature in signatures
+            for name in index.functions_with(signature)
+        }
 
         moved: set[tuple[str, str]] = set()
         for path, name in suspects:

@@ -93,6 +93,9 @@ class ProjectIndex:
     flag_shares: dict[ParamKey, dict[str, tuple[bool, ...]]] = field(
         default_factory=dict, repr=False
     )
+    # signature -> names whose winning definition has it: the functions
+    # whose parameters read a (signature, index) usage entry.
+    by_signature: dict[tuple[str, ...], set[str]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, contributions: Mapping[str, "ModuleContribution"]) -> "ProjectIndex":
@@ -109,6 +112,8 @@ class ProjectIndex:
                 call_sites.setdefault(site.callee, []).append(site)
             for key, flags in _flags_by_key(contribution).items():
                 index.flag_shares.setdefault(key, {})[path] = flags
+        for name, location in index.functions.items():
+            index.by_signature.setdefault(location.signature, set()).add(name)
         for callee, sites in call_sites.items():
             sites.sort(key=_site_order)
             index.call_sites[callee] = tuple(sites)
@@ -167,7 +172,7 @@ class ProjectIndex:
         for name, location in defined.items():
             current = self.functions.get(name)
             if current is None or current.file <= path:
-                self.functions[name] = location
+                self._define(name, location)
         for name in old.functions.keys() - defined.keys() if old is not None else ():
             if self.functions[name].file != path:
                 continue
@@ -175,10 +180,22 @@ class ProjectIndex:
             others = [
                 other for other, share in self.contributions.items() if name in share.functions
             ]
-            if others:
-                self.functions[name] = self.contributions[max(others)].functions[name]
-            else:
-                del self.functions[name]
+            self._define(name, self.contributions[max(others)].functions[name] if others else None)
+
+    def _define(self, name: str, location: FunctionLocation | None) -> None:
+        """Point ``name`` at ``location`` (``None`` drops it), keeping
+        :attr:`by_signature` in step."""
+        current = self.functions.get(name)
+        if current is not None:
+            names = self.by_signature[current.signature]
+            names.discard(name)
+            if not names:
+                del self.by_signature[current.signature]
+        if location is None:
+            del self.functions[name]
+        else:
+            self.functions[name] = location
+            self.by_signature.setdefault(location.signature, set()).add(name)
 
     def location(self, name: str) -> FunctionLocation | None:
         return self.functions.get(name)
@@ -193,6 +210,10 @@ class ProjectIndex:
 
     def peer_params(self, signature: tuple[str, ...], index: int) -> tuple[bool, ...]:
         return self.param_usage.get((signature, index), ())
+
+    def functions_with(self, signature: tuple[str, ...]) -> frozenset[str]:
+        """Names of the functions whose definition has ``signature``."""
+        return frozenset(self.by_signature.get(signature, ()))
 
 
 @dataclass(frozen=True)

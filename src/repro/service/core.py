@@ -602,8 +602,10 @@ class AnalysisService:
         return result
 
     def _handle_analyze(self, params: dict) -> dict:
+        """The session's current report; ``seconds`` and ``engine``
+        describe the run (full analysis or warm step) that built it."""
         session = self._session(params)
-        report = session.analyze_full()
+        report = session.report()
         result = {
             "project_id": session.project_id,
             "counts": report.counts(),

@@ -137,6 +137,18 @@ class _Placement:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
+class _WorkerReply(dict):
+    """A worker's decoded response that keeps its wire line: the worker
+    writes it with the same :func:`encode`, so a response the router
+    passes through is relayed as is instead of being encoded again."""
+
+    __slots__ = ("line",)
+
+    def __init__(self, line: str):
+        super().__init__(json.loads(line))
+        self.line = line
+
+
 class _WorkerConn:
     """One blocking line-protocol connection to one worker process."""
 
@@ -148,13 +160,13 @@ class _WorkerConn:
         )
         self._reader = self._sock.makefile("r", encoding="utf-8")
 
-    def roundtrip(self, envelope: dict) -> dict:
-        """Forward one envelope, return the worker's response dict."""
+    def roundtrip(self, envelope: dict) -> _WorkerReply:
+        """Forward one envelope, return the worker's response."""
         self._sock.sendall(encode(envelope).encode())
         line = self._reader.readline()
         if not line:
             raise ConnectionError("worker closed the connection")
-        return json.loads(line)
+        return _WorkerReply(line)
 
     def close(self) -> None:
         try:
@@ -265,7 +277,8 @@ class Router:
         except ProtocolError as error:
             self.metrics.inc("router.requests", type="invalid", outcome=error.code)
             return encode(error_response(None, error.code, error.message))
-        return encode(self.submit(request))
+        response = self.submit(request)
+        return response.line if isinstance(response, _WorkerReply) else encode(response)
 
     def submit(self, request: dict) -> dict:
         kind = request["type"]

@@ -11,9 +11,11 @@ the current report's, and ranks the result once through the same
 :func:`~repro.core.valuecheck.rank` a cold run uses — so the response is
 a *full* report, provenance included.  Every step of that costs
 O(change) except the one linear pass that ranks and counts the merged
-findings.  ``explain`` answers from the report without re-running
-anything, and re-renders only the records restamped since the last
-``explain``.
+findings.  The report is a pure function of the session's sources,
+revision and config, so ``analyze`` and ``explain`` answer from it
+without re-running anything: a full analysis runs only to build a
+session's first report, and ``explain`` re-renders only the records
+restamped since the last ``explain``.
 
 :class:`SessionManager` bounds the daemon's memory: least-recently-used
 sessions are evicted once the entry cap (``max_sessions``) or the
@@ -40,6 +42,11 @@ from repro.obs.clock import monotonic
 from repro.store import BaselineEntry, BaselineFile, FindingsStore, evaluate_gate
 from repro.store.fingerprint import project_sources
 from repro.vcs.objects import Commit
+
+#: ``_pending_step`` after more than one warm step: the next snapshot
+#: re-fingerprints the whole report.
+SEVERAL = "several"
+
 
 @dataclass
 class ProjectSession:
@@ -71,7 +78,9 @@ class ProjectSession:
     # The current report's findings in cold detection order (None until
     # a warm step needs them after a full analysis).
     _ordered: list[Finding] | None = None
-    _pending_incrementals: list[IncrementalResult] = field(default_factory=list)
+    # The one warm step since the last snapshot (or first report), which
+    # a snapshot can apply incrementally; SEVERAL once another lands.
+    _pending_step: IncrementalResult | str | None = None
 
     @classmethod
     def open(
@@ -95,17 +104,29 @@ class ProjectSession:
 
     def analyze_full(self) -> Report:
         """A full pipeline run over the warm project (modules the engine
-        has seen before are content-cache hits, not re-analyses)."""
+        has seen before are content-cache hits, not re-analyses).
+        :meth:`report` calls it only while the session has no report."""
         with self.lock:
             report = ValueCheck(self.config).analyze(
                 self.project, rev=self._rev_for_analysis()
             )
             self._last_report = report
             self._ordered = None
-            self._pending_incrementals.clear()
+            self._pending_step = None
             self.analyze_count += 1
             self.last_used = monotonic()
             return report
+
+    def report(self) -> Report:
+        """The current report: the last full analysis or warm splice,
+        analysing fully if the session has none yet.  Its ``seconds``
+        and ``engine_stats`` describe the run that built it."""
+        with self.lock:
+            report = self._last_report
+            self.last_used = monotonic()
+        if report is None:
+            report = self.analyze_full()
+        return report
 
     def analyze_diff(
         self, changes: dict[str, str | None] | None = None, commit: str | None = None
@@ -122,7 +143,7 @@ class ProjectSession:
         """
         if (changes is None) == (commit is None):
             raise ValueError("analyze_diff takes exactly one of changes/commit")
-        self._current_report()
+        self.report()
         with self.lock:
             if commit is not None:
                 resolved = self._resolve_commit(commit)
@@ -143,7 +164,7 @@ class ProjectSession:
             if commit is not None:
                 self.analyzer.current_rev = rev
             merged = self._merge(result, rev)
-            self._pending_incrementals.append(result)
+            self._pending_step = SEVERAL if self._pending_step is not None else result
             self.diff_count += 1
             self.last_used = monotonic()
             return result, merged
@@ -151,9 +172,8 @@ class ProjectSession:
     def explain(self, finding: str | None = None) -> dict:
         """Provenance of the current report (the last full analysis or
         warm splice — both carry every candidate's record)."""
-        report = self._current_report()
+        report = self.report()
         with self.lock:
-            self.last_used = monotonic()
             records = (
                 report.provenance.snapshot()
                 if finding is None
@@ -178,22 +198,17 @@ class ProjectSession:
         several diffs since the last snapshot) the full merged report is
         re-fingerprinted, which is always correct, just not minimal.
         """
-        report = self._current_report()
+        report = self.report()
         with self.lock:
             label = rev or self._next_rev_label()
-            if (
-                len(self._pending_incrementals) == 1
-                and self.store.snapshots()
-            ):
-                diff = self.store.update_from_incremental(
-                    self._pending_incrementals[0], self.project, rev=label
-                )
+            step = self._pending_step
+            if isinstance(step, IncrementalResult) and self.store.snapshots():
+                diff = self.store.update_from_incremental(step, self.project, rev=label)
             else:
                 diff = self.store.record_snapshot(
                     report.findings, project_sources(self.project), rev=label
                 )
-            self._pending_incrementals.clear()
-            self.last_used = monotonic()
+            self._pending_step = None
             return {
                 "project_id": self.project_id,
                 "rev": label,
@@ -204,7 +219,7 @@ class ProjectSession:
     def diff_findings(self, baseline_rev: str | None = None) -> dict:
         """Classify the current findings against a baseline snapshot,
         read-only — store state is not advanced."""
-        report = self._current_report()
+        report = self.report()
         with self.lock:
             diff = self.store.diff(
                 report.findings,
@@ -212,7 +227,6 @@ class ProjectSession:
                 rev="worktree",
                 baseline_rev=baseline_rev,
             )
-            self.last_used = monotonic()
             return dict(diff.as_dict(), project_id=self.project_id)
 
     def gate(
@@ -222,7 +236,7 @@ class ProjectSession:
     ) -> dict:
         """The CI gate verdict from warm state: fail only on new or
         reopened findings not covered by the accepted baseline."""
-        report = self._current_report()
+        report = self.report()
         with self.lock:
             diff = self.store.diff(
                 report.findings,
@@ -236,7 +250,6 @@ class ProjectSession:
                     entries=[BaselineEntry.from_dict(row) for row in baseline_entries]
                 )
             result = evaluate_gate(diff, baseline)
-            self.last_used = monotonic()
             return dict(
                 result.as_dict(),
                 project_id=self.project_id,
@@ -244,14 +257,6 @@ class ProjectSession:
             )
 
     # -- internals -------------------------------------------------------
-
-    def _current_report(self) -> Report:
-        """The last analysis (full or merged diff), analysing if cold."""
-        with self.lock:
-            report = self._last_report
-        if report is None:
-            report = self.analyze_full()
-        return report
 
     def _next_rev_label(self) -> str:
         return f"snapshot-{len(self.store.snapshots()) + 1}"

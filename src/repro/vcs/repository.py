@@ -112,10 +112,11 @@ class Repository:
         self.name = name
         self.commits: list[Commit] = []
         # Lazily built indexes, kept up to date by commit():
-        # path → indices of the commits that changed it, and
-        # commit id → index.
+        # path → indices of the commits that changed it,
+        # commit id → index, and author name → Author.
         self._log_cache: dict[str, list[int]] | None = None
         self._id_cache: dict[str, int] | None = None
+        self._author_cache: dict[str, Author] | None = None
 
     # -- writing ---------------------------------------------------------
 
@@ -157,6 +158,8 @@ class Repository:
                 self._log_cache.setdefault(path, []).append(index)
         if self._id_cache is not None:
             self._id_cache.setdefault(digest, index)
+        if self._author_cache is not None:
+            self._author_cache.setdefault(author.name, author)
         return commit
 
     # -- reading -----------------------------------------------------------
@@ -278,10 +281,20 @@ class Repository:
         )
 
     def authors(self) -> list[Author]:
-        seen: dict[str, Author] = {}
-        for commit in self.commits:
-            seen.setdefault(commit.author.name, commit.author)
-        return [seen[name] for name in sorted(seen)]
+        by_name = self._authors_by_name()
+        return [by_name[name] for name in sorted(by_name)]
+
+    def author(self, name: str) -> Author | None:
+        """The author of that name, as recorded by their first commit."""
+        return self._authors_by_name().get(name)
+
+    def _authors_by_name(self) -> dict[str, Author]:
+        if self._author_cache is None:
+            cache: dict[str, Author] = {}
+            for commit in self.commits:
+                cache.setdefault(commit.author.name, commit.author)
+            self._author_cache = cache
+        return self._author_cache
 
     # -- (de)serialisation ---------------------------------------------------
 

@@ -53,6 +53,14 @@ class TestDokModel:
         model = DokModel(repo)
         assert model.score("author1", "core.c") == model.score(AUTHOR1, "core.c")
 
+    def test_score_by_name_sees_an_author_added_later(self):
+        repo = repo_with_history()
+        DokModel(repo).score("author1", "core.c")
+        newcomer = Author("author3", "author3@example.com")
+        repo.commit(newcomer, "create new.c", {"new.c": "n"}, day=40)
+        assert DokModel(repo).breakdown("author3", "new.c")["fa"] == 1
+        assert DokModel(repo).score("author3", "new.c") == DokModel(repo).score(newcomer, "new.c")
+
     def test_until_rev_limits_history(self):
         repo = repo_with_history()
         model = DokModel(repo)

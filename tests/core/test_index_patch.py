@@ -4,7 +4,8 @@ After every warm step — replayed commits, and seeded random edits that
 add, rewrite and delete files, including files that define a function
 another file defines too — ``Project.index`` must equal a fresh
 ``Project._build_index()``: the last path in sorted order wins a shared
-name, call sites sort by (file, line), and usage flags follow path order.
+name, call sites sort by (file, line), usage flags follow path order, and
+the signature -> names map groups the winning definitions.
 The changes the patch reports must be exactly the entries whose value
 moved between the two fresh builds.
 """
@@ -44,6 +45,17 @@ def _expected_changes(before: ProjectIndex, after: ProjectIndex) -> IndexChanges
             if sorted(before.peer_params(*key)) != sorted(after.peer_params(*key))
         },
     )
+
+
+def _assert_signature_map(patched: ProjectIndex, fresh: ProjectIndex) -> None:
+    """The patched signature -> names map equals a fresh build's, and
+    both group the winning definitions by signature."""
+    grouped: dict[tuple[str, ...], set[str]] = {}
+    for name, location in fresh.functions.items():
+        grouped.setdefault(location.signature, set()).add(name)
+    assert patched.by_signature == fresh.by_signature == grouped
+    for signature, names in grouped.items():
+        assert patched.functions_with(signature) == names
 
 
 def _recording_changes(project: Project, monkeypatch) -> list[IndexChanges]:
@@ -107,6 +119,7 @@ def test_random_edits_keep_the_patched_index_equal_to_a_fresh_build(app, seed, m
         analyzer.analyze_changes(_random_edit(rng, project, step), full_modules=True)
         after = project._build_index()
         assert project.index == after, step
+        _assert_signature_map(project.index, after)
         assert seen[-1] == _expected_changes(before, after), step
 
 
@@ -119,6 +132,7 @@ def test_replayed_commits_keep_the_patched_index_equal_to_a_fresh_build(app, mon
         analyzer.replay_next()
         after = project._build_index()
         assert project.index == after, analyzer.current_rev
+        _assert_signature_map(project.index, after)
         assert seen[-1] == _expected_changes(before, after), analyzer.current_rev
 
 
@@ -137,3 +151,4 @@ def test_a_shared_name_goes_to_the_last_path_and_back():
         location = project.index.location("f")
         assert (location.file if location else None) == owner
         assert project.index == project._build_index()
+        _assert_signature_map(project.index, project._build_index())

@@ -102,14 +102,25 @@ class TestWarmVersusCold:
         ]
         assert any(r["variable"] == "r" for r in warm["findings"])
 
-    def test_warm_reanalyze_after_diff_is_all_hits(self, daemon, repo_path):
+    def test_analyze_after_diff_returns_the_spliced_report(self, daemon, repo, repo_path):
         daemon.open_project(repo=str(repo_path), rev=0, project_id="proj2")
         daemon.analyze("proj2")
-        daemon.analyze_diff("proj2", commit="next")
+        warm = daemon.analyze_diff("proj2", commit="next")
         again = daemon.analyze("proj2")
-        # Every module (including the edited one) is now content-cached.
-        assert again["engine"]["analyzed"] == 0
-        assert again["engine"]["cache_hits"] == len(BASE)
+        # The spliced report, not a re-run: its counts and rows equal a
+        # cold run at rev 1, and it reports the diff's engine run.
+        cold = ValueCheck().analyze(Project.from_repository(repo, rev=1), rev=1)
+        assert again["counts"] == warm["counts"] == cold.counts()
+        assert again["prune_stats"] == dict(cold.prune_stats)
+        assert row_keys(again["findings"]) == finding_keys(cold.reported())
+        assert again["findings"] == warm["findings"]
+        assert again["engine"] == warm["engine"]
+        assert again["seconds"] == warm["seconds"]
+        (session,) = [
+            row for row in daemon.stats()["sessions"] if row["project_id"] == "proj2"
+        ]
+        assert session["analyze_count"] == 1
+        assert session["diff_count"] == 1
 
     def test_sarif_included_when_requested(self, daemon, repo_path):
         daemon.open_project(repo=str(repo_path), rev=0, project_id="proj3")

@@ -8,6 +8,8 @@ findings are fingerprint-identical after migration, and the journal
 shows ``worker.died`` before ``worker.respawned``/``session.migrated``.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -23,6 +25,7 @@ from repro.service import (
     ServiceServer,
     WorkerSpec,
 )
+from repro.service import router as router_module
 
 SOURCES = {
     "app.c": (
@@ -166,6 +169,31 @@ class TestRouterProtocol:
                 router.pool.ring.owner(f"shard-{index}") for index in range(8)
             }
         assert owners == {0, 1}  # both slots really hold shards
+
+    def test_routed_reply_is_the_workers_line(self, routed, monkeypatch):
+        router, port = routed
+        replies = []
+        roundtrip = router_module._WorkerConn.roundtrip
+
+        def recording(conn, envelope):
+            reply = roundtrip(conn, envelope)
+            replies.append(reply)
+            return reply
+
+        with ServiceClient(port=port) as client:
+            client.open_project(project_id="rt-relay", sources=SOURCES)
+        monkeypatch.setattr(router_module._WorkerConn, "roundtrip", recording)
+        request = {"id": 7, "type": "explain", "params": {"project_id": "rt-relay"}}
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(json.dumps(request).encode() + b"\n")
+            received = sock.makefile("rb").readline()
+        (reply,) = [reply for reply in replies if reply.get("id") == 7]
+        assert received == reply.line.encode()
+        assert json.loads(received)["result"]["records"]
+        # Relayed as the very line the worker sent, not encoded again.
+        relayed = router.submit_line(json.dumps(dict(request, id=8)))
+        (reply,) = [reply for reply in replies if reply.get("id") == 8]
+        assert relayed is reply.line
 
 
 class TestRouterControlPlane:

@@ -10,15 +10,19 @@ the verdicts that change in a function no diff reaches.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.core.incremental import commit_changes
+from repro.core.incremental import IncrementalResult, commit_changes
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus import generate_app
 from repro.errors import ReproError
 from repro.service import AnalysisService, ServiceConfig
 from repro.service.sessions import ProjectSession
+from repro.store import FindingsStore
+from repro.store.fingerprint import project_sources
 
 from tests.core.stale_verdicts import (
     PARAM_KEY,
@@ -102,9 +106,9 @@ def test_source_only_edits(app):
 
 def test_interleaved_requests_keep_the_session_cold_equal(app):
     """Reads between diffs fill the provenance caches each diff must then
-    invalidate, and a full analysis resets the detection-ordered findings
-    the next diff splices into; neither may leave the session differing
-    from a cold analysis."""
+    invalidate, and an ``analyze`` read hands out the report the next
+    diff splices over; neither may leave the session differing from a
+    cold analysis."""
     config = ValueCheckConfig()
     build_config = set(app.build_config)
     project = Project.from_repository(app.repo, rev=START, build_config=build_config)
@@ -118,8 +122,9 @@ def test_interleaved_requests_keep_the_session_cold_equal(app):
         session.snapshot_baseline()
         assert "ok" in session.gate()
         if step % 3 == 1:
-            session.analyze_full()
+            session.report()
         _, merged = session.analyze_diff(commit="next")
+        assert session.report() is merged
 
         cold_project = Project.from_repository(app.repo, rev=rev, build_config=build_config)
         cold = ValueCheck(config).analyze(cold_project, rev=rev)
@@ -132,6 +137,36 @@ def test_interleaved_requests_keep_the_session_cold_equal(app):
                 record.as_dict() for record in cold.provenance.find(fragment)
             ], (rev, fragment)
             assert warm["rendered"] == cold.explain(fragment), (rev, fragment)
+    assert session.analyze_count == 1
+
+
+def _live_steps() -> int:
+    gc.collect()
+    return sum(isinstance(obj, IncrementalResult) for obj in gc.get_objects())
+
+
+def test_diffs_without_a_baseline_keep_at_most_one_step(app):
+    """A session that never records a baseline holds at most one warm
+    step, and the baseline it then records equals a full re-fingerprint
+    of its report."""
+    config = ValueCheckConfig()
+    build_config = set(app.build_config)
+    project = Project.from_repository(app.repo, rev=START, build_config=build_config)
+    session = ProjectSession.open("warm", project, config, rev=START)
+    session.snapshot_baseline()
+    live = _live_steps()
+    for _ in range(50):
+        session.analyze_diff(commit="next")
+    assert _live_steps() - live <= 1
+    recorded = session.snapshot_baseline()
+
+    store = FindingsStore.in_memory()
+    for rev, label in [(START, "snapshot-1"), (START + 50, "snapshot-2")]:
+        cold_project = Project.from_repository(app.repo, rev=rev, build_config=build_config)
+        cold = ValueCheck(config).analyze(cold_project, rev=rev)
+        diff = store.record_snapshot(cold.findings, project_sources(cold_project), rev=label)
+    assert recorded["counts"] == diff.counts()
+    assert session.store.entries() == store.entries()
 
 
 class TestStaleVerdicts:

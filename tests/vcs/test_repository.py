@@ -123,6 +123,14 @@ class TestLogsAndStats:
         repo = make_repo()
         assert [author.name for author in repo.authors()] == ["alice", "bob"]
 
+    def test_author_added_by_commit_is_found(self):
+        repo = make_repo()
+        assert repo.author("bob") == BOB
+        assert repo.author("carol") is None
+        repo.commit(CAROL, "add notes.c", {"notes.c": "n1"}, day=400)
+        assert repo.author("carol") == CAROL
+        assert [author.name for author in repo.authors()] == ["alice", "bob", "carol"]
+
 
 class TestBlame:
     def test_initial_attribution(self):
