@@ -910,6 +910,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.service import RouterConfig, ServiceConfig, WorkerSpec
+    from repro.service.protocol import REQUEST_TYPES
 
     parser = argparse.ArgumentParser(
         prog="valuecheck",
@@ -1266,23 +1267,7 @@ def build_parser() -> argparse.ArgumentParser:
     client = subparsers.add_parser(
         "client", help="send one request to a running analysis service"
     )
-    client.add_argument(
-        "type",
-        choices=(
-            "open_project",
-            "analyze",
-            "analyze_diff",
-            "explain",
-            "baseline",
-            "diff_findings",
-            "gate",
-            "stats",
-            "health",
-            "trace",
-            "events",
-            "shutdown",
-        ),
-    )
+    client.add_argument("type", choices=REQUEST_TYPES)
     client.add_argument("--host", default="127.0.0.1")
     client.add_argument("--port", type=int, default=7432)
     client.add_argument(

@@ -22,7 +22,7 @@ from repro import obs
 from repro.core.findings import CandidateKind, Finding
 from repro.core.project import IndexChanges, Project
 from repro.core.valuecheck import ValueCheckConfig, rank, settle
-from repro.errors import AnalysisError
+from repro.errors import VcsError
 from repro.obs.clock import monotonic
 from repro.ir.builder import lower_source
 from repro.vcs.diff import myers_diff
@@ -60,13 +60,6 @@ class IncrementalResult:
 
     def reported(self) -> list[Finding]:
         return [finding for finding in self.findings if finding.is_reported]
-
-    def touched_scope(self) -> tuple[set[str], set[tuple[str, str]]]:
-        """What this step invalidated: (deleted files, re-analysed
-        (file, function) pairs).  The findings store folds an incremental
-        step in by updating exactly this scope — stored fingerprints
-        outside it are carried forward untouched."""
-        return set(self.deleted_files), set(self.analyzed_functions)
 
 
 def commit_changes(commit: Commit) -> dict[str, str | None]:
@@ -157,24 +150,39 @@ class IncrementalAnalyzer:
     def replay_next(self) -> IncrementalResult:
         """Advance one commit and analyse the changes it introduces; the
         result's findings are ranked among themselves."""
-        if self.repo is None:
-            raise AnalysisError("project has no repository to replay")
-        next_rev = self.current_rev + 1
-        if next_rev >= len(self.repo.commits):
-            raise AnalysisError("no more commits to replay")
-        commit = self.repo.commits[next_rev]
-        result = self.analyze_changes(
-            commit_changes(commit), label=commit.commit_id, rev=commit.commit_id
-        )
+        result = self.replay()
         result.findings = rank(
             self.project,
             result.findings,
             self.config,
-            commit.commit_id,
+            self.current_rev,
             fresh=result.findings,
             provenance=result.provenance,
         ).findings
-        self.current_rev = next_rev
+        return result
+
+    def replay(self, commit: str = "next", full_modules: bool = False) -> IncrementalResult:
+        """Analyse the changes of one commit — ``"next"`` after the current
+        revision, or a commit id — and make it the current revision.  The
+        findings come back settled (see :meth:`analyze_changes`).  A
+        commit that does not resolve is a :class:`VcsError`, raised
+        before anything changes."""
+        if self.repo is None:
+            raise VcsError("project has no repository to replay commits from")
+        if commit == "next":
+            rev = self.current_rev + 1
+            if rev >= len(self.repo.commits):
+                raise VcsError("no commit after the current revision")
+        else:
+            rev = self.repo.rev_index(commit)
+        resolved = self.repo.commits[rev]
+        result = self.analyze_changes(
+            commit_changes(resolved),
+            label=resolved.commit_id,
+            rev=rev,
+            full_modules=full_modules,
+        )
+        self.current_rev = rev
         return result
 
     def _place(self, results: list[ModuleResult], present: bool) -> None:

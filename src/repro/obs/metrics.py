@@ -58,6 +58,12 @@ def parse_key(key: str) -> tuple[str, dict[str, str]]:
     return name, labels
 
 
+def nearest_rank(ordered: list[float], fraction: float) -> float:
+    """The nearest-rank ``fraction`` percentile of sorted, non-empty values."""
+    count = len(ordered)
+    return ordered[max(0, min(count - 1, int(fraction * count + 0.5) - 1))]
+
+
 def summarize(values: Iterable[float]) -> dict[str, float]:
     """count/sum/min/max/mean plus nearest-rank p50/p90/p99."""
     ordered = sorted(values)
@@ -65,20 +71,15 @@ def summarize(values: Iterable[float]) -> dict[str, float]:
         return {"count": 0, "sum": 0.0}
     count = len(ordered)
     total = sum(ordered)
-
-    def pct(fraction: float) -> float:
-        rank = max(0, min(count - 1, int(fraction * count + 0.5) - 1))
-        return ordered[rank]
-
     return {
         "count": count,
         "sum": total,
         "min": ordered[0],
         "max": ordered[-1],
         "mean": total / count,
-        "p50": pct(0.50),
-        "p90": pct(0.90),
-        "p99": pct(0.99),
+        "p50": nearest_rank(ordered, 0.50),
+        "p90": nearest_rank(ordered, 0.90),
+        "p99": nearest_rank(ordered, 0.99),
     }
 
 

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs.clock import monotonic
-from repro.obs.metrics import summarize
+from repro.obs.metrics import nearest_rank
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,11 @@ class SloTracker:
             self._prune_locked(stamp)
             rows = list(self._window)
             total, total_bad = self._total, self._total_bad
-        latencies = [seconds for _, seconds, _ in rows]
+        latencies = sorted(seconds for _, seconds, _ in rows)
         bad = sum(1 for _, _, is_bad in rows if is_bad)
         count = len(rows)
         bad_fraction = bad / count if count else 0.0
         burn_rate = bad_fraction / self.config.error_budget
-        stats = summarize(latencies)
         if not count:
             status = "idle"
         elif burn_rate > 1.0:
@@ -132,9 +131,9 @@ class SloTracker:
             "window_bad": bad,
             "bad_fraction": round(bad_fraction, 6),
             "burn_rate": round(burn_rate, 4),
-            "p50_seconds": stats.get("p50"),
-            "p95_seconds": stats.get("p90"),  # nearest-rank over the window
-            "p99_seconds": stats.get("p99"),
+            "p50_seconds": nearest_rank(latencies, 0.50) if count else None,
+            "p95_seconds": nearest_rank(latencies, 0.95) if count else None,
+            "p99_seconds": nearest_rank(latencies, 0.99) if count else None,
             "lifetime_count": total,
             "lifetime_bad": total_bad,
         }

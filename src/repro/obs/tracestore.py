@@ -13,13 +13,12 @@ evictions are counted, and lookup of an evicted trace is a clean
 
 **Tail-based retention.**  The traces worth debugging are precisely the
 ones a busy ring would churn out first: the slow outliers and the
-errors.  By default the store *pins* errored records and those that
-took at least ``pin_slow_seconds`` (5 s) — eviction skips pinned
-entries and removes the oldest unpinned record instead.  Pins are
-themselves bounded (``pin_capacity``, default a quarter of the ring):
-when full, the oldest pin is released back into the normal eviction
-order, so the store's total footprint never exceeds ``capacity``
-records.
+errors.  The store *pins* errored records and those that took at
+least :data:`PIN_SLOW_SECONDS` — eviction skips pinned entries and
+removes the oldest unpinned record instead.  Pins are themselves
+bounded to a quarter of the ring: when full, the oldest pin is released
+back into the normal eviction order, so the store's total footprint
+never exceeds ``capacity`` records.
 
 ``to_chrome()`` renders any subset of stored traces into one Chrome
 trace-event JSON where **every (request, thread) pair gets its own
@@ -42,6 +41,9 @@ from dataclasses import dataclass, field
 
 from repro.obs.clock import wall_clock
 from repro.obs.trace import Span, chrome_event, self_times, thread_name_event
+
+#: A trace at least this slow (seconds) is pinned in the ring.
+PIN_SLOW_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -86,23 +88,11 @@ class TraceRecord:
 class TraceStore:
     """Thread-safe ring of the newest ``capacity`` completed traces."""
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        pin_slow_seconds: float | None = 5.0,
-        pin_errors: bool = True,
-        pin_capacity: int | None = None,
-    ):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.pin_slow_seconds = pin_slow_seconds
-        self.pin_errors = pin_errors
-        self.pin_capacity = (
-            pin_capacity if pin_capacity is not None else max(capacity // 4, 1)
-        )
-        if self.pin_capacity < 1:
-            raise ValueError("pin_capacity must be >= 1")
+        self._pin_budget = max(capacity // 4, 1)
         self._lock = threading.Lock()
         self._by_request: "OrderedDict[int, TraceRecord]" = OrderedDict()
         # Insertion-ordered pin set: oldest pin is released first when
@@ -111,38 +101,24 @@ class TraceStore:
         self._evicted = 0
         self._pinned_total = 0
 
-    def _qualifies_for_pin(self, record: TraceRecord) -> bool:
-        if self.pin_errors and not record.ok:
-            return True
-        return (
-            self.pin_slow_seconds is not None
-            and record.seconds >= self.pin_slow_seconds
-        )
-
     def put(self, record: TraceRecord) -> None:
         with self._lock:
             self._by_request[record.request_id] = record
             self._by_request.move_to_end(record.request_id)
-            if self._qualifies_for_pin(record):
+            if not record.ok or record.seconds >= PIN_SLOW_SECONDS:
                 self._pinned[record.request_id] = None
                 self._pinned_total += 1
-                while len(self._pinned) > self.pin_capacity:
+                while len(self._pinned) > self._pin_budget:
                     # Oldest pin falls back into normal eviction order.
                     self._pinned.popitem(last=False)
             while len(self._by_request) > self.capacity:
+                # Pins never fill the ring (their budget is at most the
+                # capacity), so an unpinned victim always exists.
                 victim = next(
-                    (
-                        request_id
-                        for request_id in self._by_request
-                        if request_id not in self._pinned
-                    ),
-                    None,
+                    request_id
+                    for request_id in self._by_request
+                    if request_id not in self._pinned
                 )
-                if victim is None:
-                    # Everything retained is pinned (tiny ring, heavy
-                    # tail): the oldest pin has to go after all.
-                    victim, _ = self._pinned.popitem(last=False)
-                self._pinned.pop(victim, None)
                 del self._by_request[victim]
                 self._evicted += 1
 
@@ -180,16 +156,14 @@ class TraceStore:
 
     def stats(self) -> dict:
         with self._lock:
-            stats = {
+            return {
                 "retained": len(self._by_request),
                 "capacity": self.capacity,
                 "evicted": self._evicted,
+                "pinned": len(self._pinned),
+                "pin_capacity": self._pin_budget,
+                "pinned_total": self._pinned_total,
             }
-            if self.pin_errors or self.pin_slow_seconds is not None:
-                stats["pinned"] = len(self._pinned)
-                stats["pin_capacity"] = self.pin_capacity
-                stats["pinned_total"] = self._pinned_total
-            return stats
 
     def self_times(self) -> dict[str, float]:
         """Seconds of self time per span name over the retained records.

@@ -49,7 +49,6 @@ from repro.obs import (
 )
 from repro.obs.clock import monotonic
 from repro.service.protocol import (
-    MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     check_params,
@@ -62,6 +61,9 @@ from repro.service.protocol import (
 from repro.service.sessions import SessionManager
 from repro.vcs.repository import Repository
 
+#: Seconds a ``queue_full`` rejection asks the client to wait.
+RETRY_AFTER = 0.5
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -70,15 +72,10 @@ class ServiceConfig:
     workers: int = 2
     queue_capacity: int = 16
     request_timeout: float = 120.0
-    max_request_bytes: int = MAX_REQUEST_BYTES
     max_sessions: int = 8
     max_session_loc: int | None = None  # approximate memory cap, in LOC
-    retry_after: float = 0.5  # hint sent with queue_full rejections
     executor: str = "serial"  # engine executor inside each request
-    engine_workers: int | None = None
     # Operational layer (see docs/OBSERVABILITY.md):
-    trace_capacity: int = 256  # completed request traces retained
-    journal_capacity: int = 2048  # lifecycle events retained in the ring
     journal_path: str | None = None  # optional JSONL mirror of the journal
     slos: tuple[SloConfig, ...] = DEFAULT_SLOS
 
@@ -124,12 +121,9 @@ class AnalysisService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         self.metrics = obs.MetricsRegistry()
-        self.journal = EventJournal(
-            capacity=self.config.journal_capacity,
-            sink_path=self.config.journal_path,
-        )
+        self.journal = EventJournal(sink_path=self.config.journal_path)
         # Tail-retained: slow and errored traces are pinned in the ring.
-        self.traces = TraceStore(capacity=self.config.trace_capacity)
+        self.traces = TraceStore()
         self.slos = build_trackers(tuple(self.config.slos))
         self.sessions = SessionManager(
             max_sessions=self.config.max_sessions,
@@ -238,7 +232,7 @@ class AnalysisService:
     def submit_line(self, line: str | bytes) -> str:
         """Wire-level entry: one request line in, one response line out."""
         try:
-            request = decode_request(line, max_bytes=self.config.max_request_bytes)
+            request = decode_request(line)
         except ProtocolError as error:
             self.metrics.inc("service.requests", type="invalid", outcome=error.code)
             return encode(error_response(None, error.code, error.message))
@@ -311,7 +305,7 @@ class AnalysisService:
                 request_id,
                 "queue_full",
                 f"request queue is full ({self.config.queue_capacity} deep); retry",
-                retry_after=self.config.retry_after,
+                retry_after=RETRY_AFTER,
             )
         self.metrics.inc("service.requests", type=kind, outcome="accepted")
         self.metrics.set_gauge("service.queue.depth", self._queue.qsize())
@@ -499,7 +493,7 @@ class AnalysisService:
         return ValueCheckConfig(
             use_authorship=options.get("use_authorship", True),
             executor=options.get("executor", self.config.executor),
-            workers=options.get("workers", self.config.engine_workers),
+            workers=options.get("workers"),
             module_cache=options.get("module_cache", True),
             rules=rules,
         )
@@ -622,9 +616,10 @@ class AnalysisService:
             incremental, merged = session.analyze_diff(
                 changes=params.get("changes"), commit=params.get("commit")
             )
-        except (ValueError, SourceError) as error:
-            # A change that does not parse is rejected before it touches
-            # the session's warm state.
+        except (ValueError, SourceError, VcsError) as error:
+            # A change that does not parse, or a commit that does not
+            # resolve, is rejected before it touches the session's warm
+            # state.
             raise ProtocolError("invalid_params", str(error)) from error
         result = {
             "project_id": session.project_id,

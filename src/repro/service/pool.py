@@ -10,8 +10,8 @@ pool owns their lifecycle:
   worker reported ready.
 * **Health** — a probe thread sends each worker a ``health`` request
   every ``probe_interval`` seconds with a hard deadline.  A worker that
-  misses ``probe_failures`` consecutive probes (or whose process exits)
-  is declared dead.
+  misses :data:`PROBE_FAILURES` consecutive probes (or whose process
+  exits) is declared dead.
 * **Respawn** — dead workers are killed and restarted in the same slot
   with a bumped *generation*.  The generation is how the router knows a
   slot's warm state is gone: a session last opened on (slot 2, gen 1)
@@ -29,6 +29,7 @@ back the range returns.  Virtual nodes keep the ranges balanced.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +44,9 @@ from repro.obs import EventJournal, MetricsRegistry
 from repro.obs.clock import monotonic
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig
+
+#: Consecutive failed health probes after which a worker is dead.
+PROBE_FAILURES = 2
 
 
 class HashRing:
@@ -95,8 +99,10 @@ class HashRing:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """The ServiceConfig knobs forwarded to every worker process, with
-    ServiceConfig's defaults."""
+    """The ServiceConfig knobs of every worker process, with
+    ServiceConfig's defaults.  The pool hands a worker its spec as one
+    JSON argument (``--spec``); the worker rebuilds it and serves
+    :meth:`service_config`."""
 
     threads: int = ServiceConfig.workers  # request worker threads inside each process
     queue_capacity: int = ServiceConfig.queue_capacity
@@ -105,17 +111,16 @@ class WorkerSpec:
     max_session_loc: int | None = ServiceConfig.max_session_loc
     executor: str = ServiceConfig.executor
 
-    def argv(self) -> list[str]:
-        args = [
-            "--workers", str(self.threads),
-            "--queue-capacity", str(self.queue_capacity),
-            "--request-timeout", str(self.request_timeout),
-            "--max-sessions", str(self.max_sessions),
-            "--executor", self.executor,
-        ]
-        if self.max_session_loc is not None:
-            args += ["--max-session-loc", str(self.max_session_loc)]
-        return args
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValueError(f"worker threads must be at least 1, got {self.threads!r}")
+
+    def service_config(self) -> ServiceConfig:
+        """The worker's :class:`ServiceConfig`: every field carries over,
+        ``threads`` as ``workers``."""
+        fields = dataclasses.asdict(self)
+        fields["workers"] = fields.pop("threads")
+        return ServiceConfig(**fields)
 
 
 @dataclass
@@ -168,8 +173,10 @@ def spawn_worker(
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src_root}:{env.get('PYTHONPATH', '')}".rstrip(":")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.service.worker", "--host", host, "--port", "0"]
-        + spec.argv(),
+        [
+            sys.executable, "-m", "repro.service.worker", "--host", host, "--port", "0",
+            "--spec", json.dumps(dataclasses.asdict(spec)),
+        ],
         stdout=subprocess.PIPE,
         env=env,
     )
@@ -207,10 +214,8 @@ class WorkerPool:
         vnodes: int = 64,
         probe_interval: float = 2.0,
         probe_timeout: float = 5.0,
-        probe_failures: int = 2,
         journal: EventJournal | None = None,
         metrics: MetricsRegistry | None = None,
-        auto_respawn: bool = True,
     ):
         if count < 1:
             raise ValueError("need at least one worker")
@@ -220,10 +225,8 @@ class WorkerPool:
         self.ring = HashRing(count, vnodes=vnodes)
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
-        self.probe_failures = probe_failures
         self.journal = journal
         self.metrics = metrics
-        self.auto_respawn = auto_respawn
         self._lock = threading.Lock()
         self._handles: dict[int, WorkerHandle] = {}
         self._respawning: set[int] = set()
@@ -341,15 +344,14 @@ class WorkerPool:
     def _start_respawn_locked(self, handle: WorkerHandle) -> None:
         """Replace a dead worker on a thread of its own, unless a
         replacement is already under way."""
-        if self.auto_respawn and not self._stopped.is_set():
-            if handle.slot not in self._respawning:
-                self._respawning.add(handle.slot)
-                threading.Thread(
-                    target=self._respawn,
-                    args=(handle.slot, handle.generation),
-                    name=f"pool-respawn-{handle.slot}",
-                    daemon=True,
-                ).start()
+        if not self._stopped.is_set() and handle.slot not in self._respawning:
+            self._respawning.add(handle.slot)
+            threading.Thread(
+                target=self._respawn,
+                args=(handle.slot, handle.generation),
+                name=f"pool-respawn-{handle.slot}",
+                daemon=True,
+            ).start()
 
     def _respawn(self, slot: int, dead_generation: int) -> None:
         try:
@@ -420,7 +422,7 @@ class WorkerPool:
                 with self._lock:
                     if handle.process_exited():
                         self._declare_dead_locked(handle, reason="process_exited")
-                    elif handle.consecutive_failures >= self.probe_failures:
+                    elif handle.consecutive_failures >= PROBE_FAILURES:
                         self._declare_dead_locked(handle, reason="probe_timeout")
 
     def _probe(self, handle: WorkerHandle) -> bool:

@@ -192,12 +192,12 @@ class ProtocolError(Exception):
         self.retry_after = retry_after
 
 
-def decode_request(line: str | bytes, max_bytes: int = MAX_REQUEST_BYTES) -> dict:
+def decode_request(line: str | bytes) -> dict:
     """Parse and validate one request line into its envelope dict."""
     raw = line if isinstance(line, bytes) else line.encode()
-    if len(raw) > max_bytes:
+    if len(raw) > MAX_REQUEST_BYTES:
         raise ProtocolError(
-            "too_large", f"request is {len(raw)} bytes (cap {max_bytes})"
+            "too_large", f"request is {len(raw)} bytes (cap {MAX_REQUEST_BYTES})"
         )
     try:
         payload = json.loads(raw)

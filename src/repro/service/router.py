@@ -60,10 +60,8 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.obs import (
-    DEFAULT_SLOS,
     EventJournal,
     MetricsRegistry,
-    SloConfig,
     TraceRecord,
     TraceStore,
     Tracer,
@@ -74,7 +72,6 @@ from repro.obs import (
 from repro.obs.clock import monotonic
 from repro.service.pool import WorkerHandle, WorkerPool, WorkerSpec
 from repro.service.protocol import (
-    MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     check_params,
@@ -97,33 +94,28 @@ DATA_PLANE = (
     "gate",
 )
 
+#: Socket deadline per forwarded request, in seconds.
+FORWARD_TIMEOUT = 300.0
+
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Router knobs: pool size, worker shape, probing, forwarding,
-    and the cluster observability plane (trace ring, journal, SLOs)."""
+    """Router knobs: pool size, worker shape, probing, and the cluster
+    observability plane (journal mirror, trace ring).  The router's SLOs
+    over forwarded requests are :data:`~repro.obs.DEFAULT_SLOS`."""
 
     workers: int = 4
     spec: WorkerSpec = field(default_factory=WorkerSpec)
     vnodes: int = 64
     probe_interval: float = 2.0
     probe_timeout: float = 5.0
-    probe_failures: int = 2
-    forward_timeout: float = 300.0  # socket deadline per forwarded request
-    max_request_bytes: int = MAX_REQUEST_BYTES
-    journal_capacity: int = 2048
     journal_path: str | None = None
     # Cluster observability plane (see docs/OBSERVABILITY.md):
     trace_capacity: int = 256  # router-side trace ring (tail-retained)
-    slos: tuple[SloConfig, ...] = DEFAULT_SLOS  # over forwarded requests
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
-        if self.spec.threads < 1:
-            raise ValueError(
-                f"worker threads must be at least 1, got {self.spec.threads!r}"
-            )
 
 
 @dataclass
@@ -179,18 +171,14 @@ class Router:
     """Protocol-compatible front end multiplexing a worker pool.
 
     Presents the same surface :class:`~repro.service.server.ServiceServer`
-    expects of a service core (``config.max_request_bytes``,
-    ``submit_line``, ``stopped``, ``add_shutdown_listener``), so the
-    existing TCP frontend hosts a router exactly as it hosts a single
-    service.
+    expects of a service core (``submit_line``, ``stopped``,
+    ``add_shutdown_listener``), so the existing TCP frontend hosts a
+    router exactly as it hosts a single service.
     """
 
     def __init__(self, config: RouterConfig | None = None):
         self.config = config or RouterConfig()
-        self.journal = EventJournal(
-            capacity=self.config.journal_capacity,
-            sink_path=self.config.journal_path,
-        )
+        self.journal = EventJournal(sink_path=self.config.journal_path)
         self.metrics = MetricsRegistry()
         self.pool = WorkerPool(
             count=self.config.workers,
@@ -198,7 +186,6 @@ class Router:
             vnodes=self.config.vnodes,
             probe_interval=self.config.probe_interval,
             probe_timeout=self.config.probe_timeout,
-            probe_failures=self.config.probe_failures,
             journal=self.journal,
             metrics=self.metrics,
         )
@@ -208,7 +195,7 @@ class Router:
         # over forwarded requests plus per-slot trackers for burn-rate
         # attribution.
         self.traces = TraceStore(capacity=self.config.trace_capacity)
-        self.slos = build_trackers(tuple(self.config.slos))
+        self.slos = build_trackers()
         self._slot_slos: dict[int, tuple] = {}
         self._slo_lock = threading.Lock()
         self._placements: dict[str, _Placement] = {}
@@ -273,7 +260,7 @@ class Router:
 
     def submit_line(self, line: str | bytes) -> str:
         try:
-            request = decode_request(line, max_bytes=self.config.max_request_bytes)
+            request = decode_request(line)
         except ProtocolError as error:
             self.metrics.inc("router.requests", type="invalid", outcome=error.code)
             return encode(error_response(None, error.code, error.message))
@@ -459,9 +446,7 @@ class Router:
         with self._slo_lock:
             trackers = self._slot_slos.get(slot)
             if trackers is None:
-                trackers = self._slot_slos[slot] = tuple(
-                    build_trackers(tuple(self.config.slos))
-                )
+                trackers = self._slot_slos[slot] = tuple(build_trackers())
             return trackers
 
     def _mint_project_id(self) -> str:
@@ -495,7 +480,7 @@ class Router:
                     cache.pop(old).close()
                 except OSError:  # pragma: no cover
                     pass
-            conn = cache[key] = _WorkerConn(handle, self.config.forward_timeout)
+            conn = cache[key] = _WorkerConn(handle, FORWARD_TIMEOUT)
         return conn
 
     def _drop_connection(self, handle: WorkerHandle) -> None:

@@ -18,6 +18,7 @@ import threading
 from typing import TextIO
 
 from repro.service.core import AnalysisService, ServiceConfig
+from repro.service.protocol import MAX_REQUEST_BYTES
 
 
 class _Connection(socketserver.StreamRequestHandler):
@@ -25,7 +26,7 @@ class _Connection(socketserver.StreamRequestHandler):
         service: AnalysisService = self.server.service  # type: ignore[attr-defined]
         while True:
             try:
-                line = self.rfile.readline(service.config.max_request_bytes + 2)
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 2)
             except (ConnectionError, OSError):
                 return
             if not line:

@@ -33,7 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from repro.core.findings import Finding
-from repro.core.incremental import IncrementalAnalyzer, IncrementalResult, commit_changes
+from repro.core.incremental import IncrementalAnalyzer, IncrementalResult
 from repro.core.project import Project
 from repro.core.report import Report
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig, rank
@@ -41,11 +41,6 @@ from repro.obs import EventJournal, MetricsRegistry
 from repro.obs.clock import monotonic
 from repro.store import BaselineEntry, BaselineFile, FindingsStore, evaluate_gate
 from repro.store.fingerprint import project_sources
-from repro.vcs.objects import Commit
-
-#: ``_pending_step`` after more than one warm step: the next snapshot
-#: re-fingerprints the whole report.
-SEVERAL = "several"
 
 
 @dataclass
@@ -78,9 +73,6 @@ class ProjectSession:
     # The current report's findings in cold detection order (None until
     # a warm step needs them after a full analysis).
     _ordered: list[Finding] | None = None
-    # The one warm step since the last snapshot (or first report), which
-    # a snapshot can apply incrementally; SEVERAL once another lands.
-    _pending_step: IncrementalResult | str | None = None
 
     @classmethod
     def open(
@@ -112,7 +104,6 @@ class ProjectSession:
             )
             self._last_report = report
             self._ordered = None
-            self._pending_step = None
             self.analyze_count += 1
             self.last_used = monotonic()
             return report
@@ -146,25 +137,17 @@ class ProjectSession:
         self.report()
         with self.lock:
             if commit is not None:
-                resolved = self._resolve_commit(commit)
-                changes = commit_changes(resolved)
-                label = resolved.commit_id
-                rev = self.project.repo.rev_index(label)
+                result = self.analyzer.replay(commit, full_modules=True)
             else:
-                label = "edit"
                 # Uncommitted edits cannot be blamed: authorship for the
                 # *changed* functions would attribute new lines to stale
                 # commits.  Sessions without a repo never resolve
                 # authorship anyway; sessions with one keep resolving at
                 # the current revision (documented approximation).
-                rev = self._rev_for_analysis()
-            result = self.analyzer.analyze_changes(
-                changes, label=label, rev=rev, full_modules=True
-            )
-            if commit is not None:
-                self.analyzer.current_rev = rev
-            merged = self._merge(result, rev)
-            self._pending_step = SEVERAL if self._pending_step is not None else result
+                result = self.analyzer.analyze_changes(
+                    changes, rev=self._rev_for_analysis(), full_modules=True
+                )
+            merged = self._merge(result, self._rev_for_analysis())
             self.diff_count += 1
             self.last_used = monotonic()
             return result, merged
@@ -190,25 +173,15 @@ class ProjectSession:
             }
 
     def snapshot_baseline(self, rev: str | None = None) -> dict:
-        """Record the session's current findings as a store snapshot.
-
-        After exactly one ``analyze_diff`` since the previous snapshot,
-        the store is advanced incrementally — only the fingerprints of
-        the re-analysed scope are touched.  Otherwise (cold session, or
-        several diffs since the last snapshot) the full merged report is
-        re-fingerprinted, which is always correct, just not minimal.
-        """
+        """Record the session's current findings as a store snapshot: the
+        whole report is fingerprinted, exactly as ``valuecheck snapshot``
+        does for a cold run at the same revision."""
         report = self.report()
         with self.lock:
             label = rev or self._next_rev_label()
-            step = self._pending_step
-            if isinstance(step, IncrementalResult) and self.store.snapshots():
-                diff = self.store.update_from_incremental(step, self.project, rev=label)
-            else:
-                diff = self.store.record_snapshot(
-                    report.findings, project_sources(self.project), rev=label
-                )
-            self._pending_step = None
+            diff = self.store.record_snapshot(
+                report.findings, project_sources(self.project), rev=label
+            )
             return {
                 "project_id": self.project_id,
                 "rev": label,
@@ -265,17 +238,6 @@ class ProjectSession:
         if self.project.repo is None:
             return None
         return self.analyzer.current_rev
-
-    def _resolve_commit(self, commit: str) -> Commit:
-        repo = self.project.repo
-        if repo is None:
-            raise ValueError("session has no repository to replay commits from")
-        if commit == "next":
-            next_rev = self.analyzer.current_rev + 1
-            if next_rev >= len(repo.commits):
-                raise ValueError("no commit after the session's current revision")
-            return repo.commits[next_rev]
-        return repo.commits[repo.rev_index(commit)]
 
     def _merge(self, result: IncrementalResult, rev: int | None) -> Report:
         """Splice a warm step over the current report.

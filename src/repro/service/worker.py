@@ -2,8 +2,10 @@
 
 One worker is one ordinary analysis service — its own
 :class:`AnalysisService` core, :class:`SessionManager`, and engine
-cache — bound to a private TCP port.  The only additions over
-``valuecheck serve`` are the **ready line** and the signal contract:
+cache — bound to a private TCP port.  Its settings arrive as one
+:class:`~repro.service.pool.WorkerSpec` in JSON (``--spec``; the
+defaults without it).  The only additions over ``valuecheck serve`` are
+the **ready line** and the signal contract:
 
 * After binding (``--port 0`` picks a free port) the worker prints one
   JSON line on stdout — ``{"ready": true, "port": N, "pid": P}`` — and
@@ -20,9 +22,14 @@ import json
 import os
 import sys
 
-from repro.engine.executors import EXECUTOR_KINDS, positive_int
-from repro.service.core import AnalysisService, ServiceConfig
+from repro.service.core import AnalysisService
+from repro.service.pool import WorkerSpec
 from repro.service.server import ServiceServer, install_signal_handlers
+
+
+def spec(text: str) -> WorkerSpec:
+    """``--spec``: a :class:`WorkerSpec` written as one JSON object."""
+    return WorkerSpec(**json.loads(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,42 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
     parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=ServiceConfig.workers,
-        help="request threads",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=ServiceConfig.queue_capacity
-    )
-    parser.add_argument(
-        "--request-timeout", type=float, default=ServiceConfig.request_timeout
-    )
-    parser.add_argument("--max-sessions", type=int, default=ServiceConfig.max_sessions)
-    parser.add_argument(
-        "--max-session-loc", type=int, default=ServiceConfig.max_session_loc
-    )
-    parser.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default=ServiceConfig.executor
+        "--spec",
+        type=spec,
+        default=WorkerSpec(),
+        help="the worker's settings as a JSON object of WorkerSpec fields",
     )
     return parser
 
 
-def service_config(args: argparse.Namespace) -> ServiceConfig:
-    """The worker flags as a :class:`ServiceConfig`."""
-    return ServiceConfig(
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        request_timeout=args.request_timeout,
-        max_sessions=args.max_sessions,
-        max_session_loc=args.max_session_loc,
-        executor=args.executor,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    service = AnalysisService(service_config(args)).start()
+    service = AnalysisService(args.spec.service_config()).start()
     server = ServiceServer(service, host=args.host, port=args.port)
     install_signal_handlers(service)
     host, port = server.address

@@ -45,7 +45,6 @@ from repro.store.fingerprint import Fingerprint, fingerprint_findings
 
 if TYPE_CHECKING:
     from repro.core.findings import Finding
-    from repro.core.incremental import IncrementalResult
 
 
 def _analysis_version() -> str:
@@ -281,53 +280,6 @@ class FindingsStore:
         self._apply(diff, rev)
         return diff
 
-    def update_from_incremental(
-        self, result: "IncrementalResult", project, rev: str
-    ) -> LifecycleDiff:
-        """Fold one incremental step into the store, touching only the
-        fingerprints of the re-analysed scope.
-
-        ``analyze_changes`` re-analysed exactly ``analyzed_functions``
-        (plus deletions); stored entries outside that scope are carried
-        forward untouched — no re-fingerprinting of the rest of the
-        project.  The returned diff covers the touched scope only.
-        """
-        from repro.store.fingerprint import project_sources
-
-        deleted, functions = result.touched_scope()
-        changed = set(result.changed_files)
-
-        def in_scope(row: StoredFinding) -> bool:
-            if row.file in deleted or (row.file, row.function) in functions:
-                return True
-            if row.file in changed:
-                # A function the edit removed outright is in no analysis
-                # set, but its stored findings are certainly stale.
-                return project.function_location(row.file, row.function) is None
-            return False
-
-        scope_entries = {
-            fingerprint: row
-            for fingerprint, row in self.backend.entries().items()
-            if in_scope(row)
-        }
-        fresh = [finding for finding in result.findings if finding.is_reported]
-        diff = self._classify_against(
-            fresh,
-            project_sources(project),
-            rev,
-            scope_entries,
-            baseline_members=frozenset(
-                fingerprint
-                for fingerprint, row in scope_entries.items()
-                if row.status == "active"
-            ),
-            baseline_rev=None,
-            baseline_version=_analysis_version(),
-        )
-        self._apply(diff, rev, snapshot=True)
-        return diff
-
     # -- internals -------------------------------------------------------
 
     def _classify(
@@ -356,26 +308,6 @@ class FindingsStore:
             baseline_version = meta.analysis_version
             members = self.backend.snapshot_members(baseline_rev)
         baseline_members = frozenset(members or ())
-        return self._classify_against(
-            findings,
-            sources,
-            rev,
-            entries,
-            baseline_members,
-            baseline_rev,
-            baseline_version,
-        )
-
-    def _classify_against(
-        self,
-        findings: list["Finding"],
-        sources: Mapping[str, str | None],
-        rev: str,
-        entries: dict[str, StoredFinding],
-        baseline_members: frozenset[str],
-        baseline_rev: str | None,
-        baseline_version: str,
-    ) -> LifecycleDiff:
         fingerprints = fingerprint_findings(findings, sources)
         metrics = obs.metrics()
         diff = LifecycleDiff(
@@ -462,7 +394,7 @@ class FindingsStore:
                     metrics.inc("store.lifecycle", count, state=state)
         return diff
 
-    def _apply(self, diff: LifecycleDiff, rev: str, snapshot: bool = True) -> None:
+    def _apply(self, diff: LifecycleDiff, rev: str) -> None:
         """Persist one diff: entry transitions plus the snapshot row."""
         updates: list[StoredFinding] = []
         for row in diff.rows:
@@ -514,24 +446,22 @@ class FindingsStore:
             )
         if updates:
             self.backend.upsert_entries(updates)
-        if snapshot:
-            members = sorted(
-                row.fingerprint
-                for row in self.backend.entries().values()
-                if row.status == "active"
-            )
-            previous = self.backend.latest()
-            seq = (previous.seq + 1) if previous is not None else 1
-            self.backend.add_snapshot(
-                SnapshotMeta(
-                    rev=rev,
-                    seq=seq,
-                    findings=len(members),
-                    analysis_version=_analysis_version(),
-                ),
-                members,
-            )
-
+        members = sorted(
+            row.fingerprint
+            for row in self.backend.entries().values()
+            if row.status == "active"
+        )
+        previous = self.backend.latest()
+        seq = (previous.seq + 1) if previous is not None else 1
+        self.backend.add_snapshot(
+            SnapshotMeta(
+                rev=rev,
+                seq=seq,
+                findings=len(members),
+                analysis_version=_analysis_version(),
+            ),
+            members,
+        )
 
 def diff_to_sarif(
     diff: LifecycleDiff,

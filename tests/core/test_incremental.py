@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.incremental import IncrementalAnalyzer, changed_line_ranges
 from repro.core.valuecheck import ValueCheckConfig
-from repro.errors import AnalysisError
+from repro.errors import VcsError
 
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
 from tests.core.stale_verdicts import PARAM_KEY, PEER_KEY, param_history, peer_history
@@ -102,7 +102,7 @@ class TestIncrementalAnalyzer:
     def test_replay_past_head_raises(self):
         repo = repo_with_buggy_commit()
         analyzer = IncrementalAnalyzer(repo, start_rev=1)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(VcsError):
             analyzer.replay_next()
 
     def test_sequential_replays(self):

@@ -93,3 +93,19 @@ class TestStatus:
         assert status["p50_seconds"] == pytest.approx(0.5)
         assert status["p99_seconds"] == pytest.approx(1.0)
         assert status["p95_seconds"] >= status["p50_seconds"]
+
+    def test_p95_is_the_nearest_rank_p95(self):
+        # Nearest rank: the 95th percentile of 20 values is the 19th.
+        tracker = _tracker(target_seconds=100.0)
+        for seconds in range(1, 21):
+            tracker.record("analyze", float(seconds), ok=True, now=float(seconds))
+        status = tracker.status(now=20.0)
+        assert status["p50_seconds"] == 10.0
+        assert status["p95_seconds"] == 19.0
+        assert status["p99_seconds"] == 20.0
+
+    def test_idle_window_has_no_percentiles(self):
+        status = _tracker().status(now=0.0)
+        assert status["p50_seconds"] is None
+        assert status["p95_seconds"] is None
+        assert status["p99_seconds"] is None

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import TraceRecord, TraceStore
 from repro.obs.trace import Span
+from repro.obs.tracestore import PIN_SLOW_SECONDS
 
 
 def _record(
@@ -48,12 +49,19 @@ def _record(
 
 class TestRetention:
     def test_capacity_evicts_oldest(self):
-        store = TraceStore(capacity=2, pin_slow_seconds=None, pin_errors=False)
+        store = TraceStore(capacity=2)
         for request_id in (1, 2, 3):
             store.put(_record(request_id, f"t{request_id}"))
         assert store.get(1) is None
         assert store.get(2) is not None and store.get(3) is not None
-        assert store.stats() == {"retained": 2, "capacity": 2, "evicted": 1}
+        assert store.stats() == {
+            "retained": 2,
+            "capacity": 2,
+            "evicted": 1,
+            "pinned": 0,
+            "pin_capacity": 1,
+            "pinned_total": 0,
+        }
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -81,7 +89,7 @@ class TestRetention:
 
 class TestTailPinning:
     def test_errored_traces_survive_eviction(self):
-        store = TraceStore(capacity=3, pin_errors=True)
+        store = TraceStore(capacity=3)
         store.put(_record(1, "err", ok=False))
         for request_id in (2, 3, 4, 5):
             store.put(_record(request_id, f"t{request_id}"))
@@ -90,49 +98,46 @@ class TestTailPinning:
         assert store.get(2) is None and store.get(3) is None
 
     def test_slow_traces_survive_eviction(self):
-        store = TraceStore(capacity=3, pin_slow_seconds=1.0)
-        store.put(_record(1, "slow", seconds=2.5))
+        store = TraceStore(capacity=3)
+        store.put(_record(1, "slow", seconds=PIN_SLOW_SECONDS))
         for request_id in (2, 3, 4, 5):
             store.put(_record(request_id, f"t{request_id}", seconds=0.1))
         assert store.get(1) is not None
-        assert store.get(1).seconds == 2.5
+        assert store.get(1).seconds == PIN_SLOW_SECONDS
 
     def test_fast_ok_traces_are_not_pinned(self):
-        store = TraceStore(capacity=2, pin_slow_seconds=1.0, pin_errors=True)
+        store = TraceStore(capacity=2)
         store.put(_record(1, "fast", seconds=0.1))
         store.put(_record(2, "t2"))
         store.put(_record(3, "t3"))
         assert store.get(1) is None
 
     def test_pin_budget_releases_oldest_pin(self):
-        store = TraceStore(capacity=4, pin_errors=True, pin_capacity=2)
+        store = TraceStore(capacity=8)  # a quarter of the ring: 2 pins
         for request_id in (1, 2, 3):
             store.put(_record(request_id, f"e{request_id}", ok=False))
         # Pin budget is 2: the oldest error (1) fell back into normal
         # eviction order and churns out first under pressure.
-        store.put(_record(4, "t4"))
-        store.put(_record(5, "t5"))
+        for request_id in range(4, 10):
+            store.put(_record(request_id, f"t{request_id}"))
         assert store.get(1) is None
         assert store.get(2) is not None and store.get(3) is not None
 
     def test_all_pinned_ring_still_bounded(self):
-        store = TraceStore(capacity=2, pin_errors=True, pin_capacity=2)
+        store = TraceStore(capacity=2)
         for request_id in (1, 2, 3):
             store.put(_record(request_id, f"e{request_id}", ok=False))
         stats = store.stats()
         assert stats["retained"] == 2
         assert store.get(1) is None
 
-    def test_stats_expose_pin_counters_only_when_enabled(self):
-        plain = TraceStore(capacity=2, pin_slow_seconds=None, pin_errors=False)
-        assert "pinned" not in plain.stats()
-        pinning = TraceStore(capacity=8, pin_errors=True)
-        pinning.put(_record(1, "e1", ok=False))
-        stats = pinning.stats()
+    def test_stats_expose_pin_counters(self):
+        store = TraceStore(capacity=8)
+        store.put(_record(1, "e1", ok=False))
+        stats = store.stats()
         assert stats["pinned"] == 1
         assert stats["pinned_total"] == 1
         assert stats["pin_capacity"] == 2
-
 
     def test_default_store_pins_errors_and_slow_traces(self):
         store = TraceStore(capacity=8)  # room for two pins

@@ -2,6 +2,7 @@
 ``valuecheck client`` against a live daemon, plus the ``valuecheck
 stats`` rendering of a service lifetime record."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -23,7 +24,7 @@ from repro.service import (
     wait_for_port,
 )
 from repro.service import worker as worker_entry
-from repro.service.protocol import encode
+from repro.service.protocol import REQUEST_TYPES, encode
 
 SOURCES = {"m.c": "int f(void)\n{\n    int dead;\n    dead = 1;\n    return 0;\n}\n"}
 
@@ -297,8 +298,40 @@ class TestDefaults:
         assert _router_config(build_parser().parse_args(["route"])) == RouterConfig()
 
     def test_worker_without_flags_builds_the_default_service_config(self):
+        assert WorkerSpec().service_config() == ServiceConfig()
         args = worker_entry.build_parser().parse_args([])
-        assert worker_entry.service_config(args) == ServiceConfig()
+        assert args.spec.service_config() == ServiceConfig()
+
+    def test_worker_spec_reaches_the_worker_as_one_json_argument(self):
+        spec = WorkerSpec(
+            threads=3,
+            queue_capacity=5,
+            request_timeout=7.5,
+            max_sessions=2,
+            max_session_loc=900,
+            executor="process",
+        )
+        argv = ["--spec", json.dumps(dataclasses.asdict(spec))]
+        received = worker_entry.build_parser().parse_args(argv).spec
+        assert received == spec
+        assert received.service_config() == ServiceConfig(
+            workers=3,
+            queue_capacity=5,
+            request_timeout=7.5,
+            max_sessions=2,
+            max_session_loc=900,
+            executor="process",
+        )
+
+    def test_client_request_types_are_the_protocol_table(self):
+        commands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        client = commands.choices["client"]
+        request_type = next(action for action in client._actions if action.dest == "type")
+        assert tuple(request_type.choices) == REQUEST_TYPES
 
     def test_worker_spec_shares_the_service_defaults(self):
         service = ServiceConfig()

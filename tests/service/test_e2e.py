@@ -12,7 +12,13 @@ import pytest
 
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck
-from repro.service import ServiceClient, ServiceConfig, serve_tcp, wait_for_port
+from repro.service import (
+    AnalysisService,
+    ServiceClient,
+    ServiceConfig,
+    serve_tcp,
+    wait_for_port,
+)
 
 from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
 from tests.core.test_incremental import BASE, BUGGY_APP
@@ -184,3 +190,46 @@ class TestWarmVersusCold:
         assert summary["stopped"] is True
         assert service.stopped
         server.server_close()
+
+
+class TestUnresolvableCommit:
+    """A commit that does not resolve is ``invalid_params``, and the
+    session answers ``analyze`` exactly as before it."""
+
+    @pytest.fixture()
+    def service(self):
+        service = AnalysisService(ServiceConfig(workers=1)).start()
+        yield service
+        service.shutdown()
+
+    @staticmethod
+    def _submit(service, kind, **params):
+        return service.submit({"id": 1, "type": kind, "params": params})
+
+    def _assert_rejected(self, service, project_id, commit):
+        before = self._submit(service, "analyze", project_id=project_id)
+        assert before["ok"], before
+        response = self._submit(
+            service, "analyze_diff", project_id=project_id, commit=commit
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid_params"
+        after = self._submit(service, "analyze", project_id=project_id)
+        assert after["result"] == before["result"]
+
+    @pytest.mark.parametrize("commit", ["next", "no-such-commit"])
+    def test_commit_past_head_or_unknown_is_invalid_params(
+        self, service, repo_path, commit
+    ):
+        opened = self._submit(
+            service, "open_project", repo=str(repo_path), rev=1, project_id="head"
+        )
+        assert opened["ok"], opened
+        self._assert_rejected(service, "head", commit)
+
+    def test_commit_without_a_repository_is_invalid_params(self, service):
+        opened = self._submit(
+            service, "open_project", sources=dict(BASE), project_id="loose"
+        )
+        assert opened["ok"], opened
+        self._assert_rejected(service, "loose", "next")

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.obs import EventJournal, TraceStore
 from repro.service import AnalysisService, ServiceClient, ServiceConfig, serve_tcp, wait_for_port
 from tests.test_perfbench_hooks import REQUEST_HOPS, _load_spans
 
@@ -138,9 +139,9 @@ class TestTracePropagation:
         assert tids["c1"].isdisjoint(tids["c2"])
 
     def test_trace_store_is_bounded(self):
-        service = AnalysisService(
-            ServiceConfig(workers=1, trace_capacity=2)
-        ).start()
+        service = AnalysisService(ServiceConfig(workers=1))
+        service.traces = TraceStore(capacity=2)
+        service.start()
         try:
             open_simple(service)
             for n in range(3):
@@ -202,9 +203,9 @@ class TestEventJournal:
             service.shutdown()
 
     def test_ring_truncation_visible_through_events_request(self):
-        service = AnalysisService(
-            ServiceConfig(workers=1, journal_capacity=4)
-        ).start()
+        service = AnalysisService(ServiceConfig(workers=1))
+        service.journal = service.sessions.journal = EventJournal(capacity=4)
+        service.start()
         try:
             open_simple(service)
             for n in range(3):

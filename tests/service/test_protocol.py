@@ -23,7 +23,7 @@ from repro.service import (
     error_response,
     ok_response,
 )
-from repro.service.protocol import PARAM_TYPES, REQUEST_PARAMS, Params
+from repro.service.protocol import MAX_REQUEST_BYTES, PARAM_TYPES, REQUEST_PARAMS, Params
 from repro.vcs import Author, Repository
 
 SERVICE_DOC = Path(__file__).resolve().parents[2] / "docs" / "SERVICE.md"
@@ -72,9 +72,9 @@ class TestDecodeRequest:
         assert info.value.code == "bad_request"
 
     def test_oversized_request(self):
-        line = json.dumps({"type": "analyze", "params": {"pad": "x" * 2048}})
+        line = json.dumps({"type": "analyze", "params": {"pad": "x" * MAX_REQUEST_BYTES}})
         with pytest.raises(ProtocolError) as info:
-            decode_request(line, max_bytes=1024)
+            decode_request(line)
         assert info.value.code == "too_large"
 
     def test_every_request_type_decodes(self):
@@ -113,14 +113,10 @@ class TestSubmitLine:
         assert response["error"]["code"] == "unknown_type"
 
     def test_oversized_line_rejected_before_parsing(self, service):
-        config = ServiceConfig(max_request_bytes=512)
-        small = AnalysisService(config).start()
-        try:
-            line = json.dumps({"type": "health", "params": {"pad": "y" * 4096}})
-            response = json.loads(small.submit_line(line))
-            assert response["error"]["code"] == "too_large"
-        finally:
-            small.shutdown()
+        pad = "y" * MAX_REQUEST_BYTES
+        line = json.dumps({"type": "health", "params": {"pad": pad}})
+        response = json.loads(service.submit_line(line))
+        assert response["error"]["code"] == "too_large"
 
     def test_health_round_trip(self, service):
         response = json.loads(service.submit_line('{"id": 1, "type": "health"}'))

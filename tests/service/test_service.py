@@ -15,6 +15,7 @@ from repro.core.project import Project
 from repro.core.pruning import default_pipeline
 from repro.core.valuecheck import ValueCheckConfig
 from repro.service import AnalysisService, ServiceConfig
+from repro.service.core import RETRY_AFTER
 from repro.service.sessions import SessionManager
 
 SIMPLE = {"m.c": "int f(void)\n{\n    int dead;\n    dead = 1;\n    return 0;\n}\n"}
@@ -35,7 +36,7 @@ def open_simple(service, project_id="p"):
 class TestBackpressure:
     def test_queue_full_rejected_with_retry_after(self):
         service = AnalysisService(
-            ServiceConfig(workers=1, queue_capacity=1, retry_after=0.75)
+            ServiceConfig(workers=1, queue_capacity=1)
         ).start()
         try:
             open_simple(service)
@@ -68,7 +69,7 @@ class TestBackpressure:
             rejected = service.submit({"id": 3, "type": "analyze", "params": {}})
             assert rejected["ok"] is False
             assert rejected["error"]["code"] == "queue_full"
-            assert rejected["error"]["retry_after"] == 0.75
+            assert rejected["error"]["retry_after"] == RETRY_AFTER
 
             release.set()
             for thread in threads:
@@ -465,7 +466,7 @@ class TestShutdownQueueRace:
         import queue as queue_module
 
         service = AnalysisService(
-            ServiceConfig(workers=1, queue_capacity=1, retry_after=0.25)
+            ServiceConfig(workers=1, queue_capacity=1)
         ).start()
         try:
             real_queue = service._queue
@@ -484,7 +485,7 @@ class TestShutdownQueueRace:
                 service._queue = real_queue
             assert response["ok"] is False
             assert response["error"]["code"] == "queue_full"
-            assert response["error"]["retry_after"] == 0.25
+            assert response["error"]["retry_after"] == RETRY_AFTER
         finally:
             service.shutdown()
 

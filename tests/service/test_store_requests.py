@@ -1,9 +1,8 @@
 """Warm-session store requests: baseline, diff_findings, gate.
 
 The store rides inside each :class:`ProjectSession` (in-memory backend):
-its lifecycle state survives ``analyze_diff``, and snapshots taken after
-a single incremental step advance the store by touching only the
-re-analysed fingerprints.
+its lifecycle state survives ``analyze_diff``, and every snapshot
+fingerprints the session's whole current report.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class TestDiffAndGateRequests:
         assert gate["counts"]["suppressed"] == 1
         assert "suppressed new" in gate["summary"]
 
-    def test_snapshot_after_one_diff_updates_incrementally(self, service):
+    def test_snapshot_after_one_diff_counts_the_whole_report(self, service):
         open_and_analyze(
             service,
             sources={
@@ -148,10 +147,9 @@ class TestDiffAndGateRequests:
             changes={"a.c": "// shift\n" + SRC_A},
         )
         result = submit(service, "baseline", project_id="p", rev="revB")
-        # Line-shifted a.c stays persistent; b.c is outside the touched
-        # scope and does not appear in the incremental diff at all.
+        # Line-shifted a.c and untouched b.c both stay persistent.
         assert result["counts"] == {
-            "new": 0, "persistent": 2, "fixed": 0, "reopened": 0
+            "new": 0, "persistent": 4, "fixed": 0, "reopened": 0
         }
         assert result["store"]["snapshots"] == 2
         gate = submit(service, "gate", project_id="p")

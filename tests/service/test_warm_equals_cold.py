@@ -146,9 +146,9 @@ def _live_steps() -> int:
 
 
 def test_diffs_without_a_baseline_keep_at_most_one_step(app):
-    """A session that never records a baseline holds at most one warm
-    step, and the baseline it then records equals a full re-fingerprint
-    of its report."""
+    """A session that records no baseline between diffs keeps none of
+    its warm steps, and the baseline it then records equals a full
+    re-fingerprint of its report."""
     config = ValueCheckConfig()
     build_config = set(app.build_config)
     project = Project.from_repository(app.repo, rev=START, build_config=build_config)
@@ -157,7 +157,7 @@ def test_diffs_without_a_baseline_keep_at_most_one_step(app):
     live = _live_steps()
     for _ in range(50):
         session.analyze_diff(commit="next")
-    assert _live_steps() - live <= 1
+    assert _live_steps() == live
     recorded = session.snapshot_baseline()
 
     store = FindingsStore.in_memory()

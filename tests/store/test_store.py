@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core.incremental import IncrementalAnalyzer
+from repro.core.project import Project
+from repro.service.sessions import ProjectSession
 from repro.store import (
     FindingsStore,
     Lifecycle,
@@ -132,50 +133,51 @@ class TestLifecycle:
 
 
 class TestIncrementalUpdate:
+    """A warm session's ``baseline`` after exactly one diff equals
+    ``record_snapshot`` of cold runs at the same two revisions: the same
+    counts, entries (``last_seen`` included) and snapshot members."""
+
     TWO = {
         "a.c": SRC,
         "b.c": SRC.replace("helper", "other").replace("main", "run"),
     }
+    SHIFT = {"a.c": "// shift\n" + SRC}
 
-    def _warm(self):
-        project, report = analyze(self.TWO)
-        store = FindingsStore.in_memory()
-        store.record_snapshot(report.findings, sources_of(project), rev="revA")
-        analyzer = IncrementalAnalyzer.from_project(project, config=CONFIG)
-        return project, store, analyzer
+    def _baseline_after_one_diff(self, change):
+        project = Project.from_sources(dict(self.TWO), name="store-test")
+        session = ProjectSession.open("p", project, CONFIG)
+        session.snapshot_baseline("revA")
+        session.analyze_diff(changes=dict(change))
+        recorded = session.snapshot_baseline("revB")
 
-    def test_untouched_files_are_not_refingerprinted(self):
-        project, store, analyzer = self._warm()
-        before = {
-            fp: row for fp, row in store.entries().items() if row.file == "b.c"
-        }
-        result = analyzer.analyze_changes(
-            {"a.c": "// shift\n" + SRC}, label="edit", full_modules=True
-        )
-        diff = store.update_from_incremental(result, analyzer.project, rev="revB")
-        # Only a.c entries appear in the scoped diff.
-        assert {row.file for row in diff.rows} == {"a.c"}
-        after = {
-            fp: row for fp, row in store.entries().items() if row.file == "b.c"
-        }
-        # b.c rows untouched: same fingerprints, last_seen still revA.
-        assert after == before
-        assert all(row.last_seen == "revA" for row in after.values())
-        # a.c rows advanced to revB.
-        assert all(
-            row.last_seen == "revB"
-            for row in store.entries().values()
-            if row.file == "a.c"
-        )
+        after = dict(self.TWO)
+        for path, text in change.items():
+            if text is None:
+                del after[path]
+            else:
+                after[path] = text
+        cold = FindingsStore.in_memory()
+        snapshot(cold, self.TWO, "revA")
+        diff = snapshot(cold, after, "revB")
+
+        store = session.store
+        assert recorded["counts"] == diff.counts()
+        assert store.entries() == cold.entries()
+        assert store.snapshots() == cold.snapshots()
+        for rev in ("revA", "revB"):
+            assert store.backend.snapshot_members(rev) == cold.backend.snapshot_members(rev)
+        return store, diff
+
+    def test_line_shift_matches_a_cold_snapshot(self):
+        store, diff = self._baseline_after_one_diff(self.SHIFT)
+        # Both files persist, the untouched b.c included.
+        assert diff.counts()["persistent"] == 4
+        assert all(row.last_seen == "revB" for row in store.entries().values())
 
     def test_removed_function_marks_findings_fixed(self):
-        project, store, analyzer = self._warm()
         # Drop main() (and its findings) from a.c entirely.
         truncated = SRC.split("int main()")[0]
-        result = analyzer.analyze_changes(
-            {"a.c": truncated}, label="edit", full_modules=True
-        )
-        diff = store.update_from_incremental(result, analyzer.project, rev="revB")
+        store, diff = self._baseline_after_one_diff({"a.c": truncated})
         assert diff.counts()["fixed"] == 2
         assert all(
             row.status == "fixed"
@@ -184,23 +186,13 @@ class TestIncrementalUpdate:
         )
 
     def test_deleted_file_marks_findings_fixed(self):
-        project, store, analyzer = self._warm()
-        result = analyzer.analyze_changes(
-            {"a.c": None}, label="edit", full_modules=True
-        )
-        diff = store.update_from_incremental(result, analyzer.project, rev="revB")
+        _, diff = self._baseline_after_one_diff({"a.c": None})
         assert diff.counts()["fixed"] == 2
 
     def test_incremental_update_advances_the_snapshot(self):
-        project, store, analyzer = self._warm()
-        result = analyzer.analyze_changes(
-            {"a.c": "// shift\n" + SRC}, label="edit", full_modules=True
-        )
-        store.update_from_incremental(result, analyzer.project, rev="revB")
-        snapshots = store.snapshots()
-        assert [meta.rev for meta in snapshots] == ["revA", "revB"]
-        # The revB membership covers ALL active entries (both files), not
-        # just the touched scope.
+        store, _ = self._baseline_after_one_diff(self.SHIFT)
+        assert [meta.rev for meta in store.snapshots()] == ["revA", "revB"]
+        # The revB membership covers the active entries of both files.
         assert len(store.backend.snapshot_members("revB")) == 4
 
 

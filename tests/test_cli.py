@@ -444,8 +444,11 @@ class TestParser:
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_service_worker_rejects_non_positive_workers(self, count):
+        from repro.service import WorkerSpec
         from repro.service.worker import build_parser
 
+        with pytest.raises(ValueError, match="at least 1"):
+            WorkerSpec(threads=int(count))
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--workers", count])
+            build_parser().parse_args(["--spec", json.dumps({"threads": int(count)})])
         assert excinfo.value.code == 2
