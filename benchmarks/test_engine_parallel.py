@@ -72,7 +72,7 @@ def test_engine_solver_speed(benchmark):
     fans, scaled down so rounds stay fast.  The solver must converge on
     every module — an unconverged run would make the timing meaningless.
     """
-    from repro.corpus.solver_stress import stress_modules
+    from solver_stress import stress_modules
     from repro.pointer.andersen import analyze_module
 
     modules = stress_modules(scale=0.25, seed=BENCH_SEED)

@@ -61,6 +61,7 @@ import argparse
 import csv as csv_module
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
@@ -69,7 +70,7 @@ from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus.generator import generate_app
 from repro.corpus.profiles import PROFILES
 from repro.engine.executors import EXECUTOR_KINDS, positive_int
-from repro.errors import SourceError
+from repro.errors import ReproError
 from repro.rules import UnknownRuleError, normalize_rules
 from repro.vcs.repository import Repository
 
@@ -83,71 +84,75 @@ def _parse_rules(raw: str | None) -> tuple[str, ...] | None:
     return normalize_rules(names)
 
 
-def _baseline_keys(path: str) -> set[tuple[str, str, str, str]]:
-    """Finding keys from an earlier report CSV.  Line numbers shift as
-    files evolve, so the key is (file, function, variable, kind)."""
-    keys: set[tuple[str, str, str, str]] = set()
-    with open(path, newline="") as handle:
-        for row in csv_module.DictReader(handle):
-            keys.add(
-                (
-                    row.get("file", ""),
-                    row.get("function", ""),
-                    row.get("variable", ""),
-                    row.get("kind", ""),
-                )
-            )
-    return keys
+@dataclass(frozen=True)
+class _Tree:
+    """A source tree to analyse, read and checked once: its ``*.c``
+    texts, the ``--repo`` history, ``--config`` macros and ``--rules``."""
+
+    name: str
+    sources: dict[str, str]
+    repo: Repository | None
+    build_config: frozenset[str]
+    rules: tuple[str, ...] | None
+
+    def project(self) -> Project:
+        return Project.from_sources(
+            self.sources, name=self.name, repo=self.repo, build_config=set(self.build_config)
+        )
 
 
-def _finding_key(finding) -> tuple[str, str, str, str]:
-    candidate = finding.candidate
-    return (candidate.file, candidate.function, candidate.var, candidate.kind.value)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _read_tree(args: argparse.Namespace) -> _Tree:
+    """The tree a subcommand analyses; a bad input raises :class:`ReproError`."""
     source_dir = Path(args.directory)
     if not source_dir.is_dir():
-        print(f"error: {source_dir} is not a directory", file=sys.stderr)
-        return 2
+        raise ReproError(f"{source_dir} is not a directory")
     repo = Repository.load(args.repo) if args.repo else None
     sources = {
         str(path.relative_to(source_dir)): path.read_text()
         for path in sorted(source_dir.rglob("*.c"))
     }
     if not sources:
-        print("error: no .c files found", file=sys.stderr)
-        return 2
+        raise ReproError("no .c files found")
     try:
         rules = _parse_rules(getattr(args, "rules", None))
-    except UnknownRuleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except UnknownRuleError as error:
+        raise ReproError(str(error)) from error
+    return _Tree(source_dir.name, sources, repo, frozenset(args.config or ()), rules)
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.store import BaselineFile, fingerprint_findings, project_sources
+
+    tree = _read_tree(args)
+    baseline = BaselineFile.load(args.baseline) if args.baseline else None
     # One ambient telemetry covers the frontend AND analysis, so the
     # exported trace is a single span tree and the stats record's layers
     # add up to the wall time of both.
     telemetry = obs.Telemetry.fresh()
     started = obs.monotonic()
     with obs.use(telemetry):
-        project = Project.from_sources(
-            sources, name=source_dir.name, repo=repo, build_config=set(args.config or ())
-        )
+        project = tree.project()
         config = ValueCheckConfig(
-            use_authorship=repo is not None,
+            use_authorship=tree.repo is not None,
             executor=args.executor,
             workers=args.workers,
             module_cache=not args.no_module_cache,
-            rules=rules,
+            rules=tree.rules,
         )
         report = ValueCheck(config).analyze(project)
     wall_seconds = obs.monotonic() - started
     print(report.summary())
     print()
     reported = report.reported()
-    if args.baseline:
-        known = _baseline_keys(args.baseline)
+    if baseline is not None:
+        fingerprints = fingerprint_findings(reported, project_sources(project))
+
+        def known(finding) -> bool:
+            fingerprint = fingerprints[finding.key]
+            return baseline.covers(fingerprint.primary, fingerprint.location) is not None
+
         before = len(reported)
-        reported = [finding for finding in reported if _finding_key(finding) not in known]
+        reported = [finding for finding in reported if not known(finding)]
         print(f"baseline suppressed {before - len(reported)} known finding(s); {len(reported)} new")
         print()
     for finding in reported[: args.top]:
@@ -191,29 +196,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _project_and_report(args: argparse.Namespace):
-    """Shared analyze step for the store subcommands; returns
-    ``(project, report)`` or ``(None, exit_code)`` on input errors."""
-    source_dir = Path(args.directory)
-    if not source_dir.is_dir():
-        print(f"error: {source_dir} is not a directory", file=sys.stderr)
-        return None, 2
-    repo = Repository.load(args.repo) if args.repo else None
-    sources = {
-        str(path.relative_to(source_dir)): path.read_text()
-        for path in sorted(source_dir.rglob("*.c"))
-    }
-    if not sources:
-        print("error: no .c files found", file=sys.stderr)
-        return None, 2
-    project = Project.from_sources(
-        sources, name=source_dir.name, repo=repo, build_config=set(args.config or ())
-    )
-    try:
-        rules = _parse_rules(getattr(args, "rules", None))
-    except UnknownRuleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
-    config = ValueCheckConfig(use_authorship=repo is not None, rules=rules)
+    """Shared analyze step for the store subcommands: ``(project, report)``."""
+    tree = _read_tree(args)
+    project = tree.project()
+    config = ValueCheckConfig(use_authorship=tree.repo is not None, rules=tree.rules)
     return project, ValueCheck(config).analyze(project)
 
 
@@ -221,8 +207,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.store import FindingsStore, project_sources
 
     project, report = _project_and_report(args)
-    if project is None:
-        return report
     store = FindingsStore.open(args.store)
     rev = args.rev or f"snapshot-{len(store.snapshots()) + 1}"
     diff = store.record_snapshot(report.findings, project_sources(project), rev=rev)
@@ -252,8 +236,6 @@ def _cmd_gate(args: argparse.Namespace) -> int:
     )
 
     project, report = _project_and_report(args)
-    if project is None:
-        return report
     store = FindingsStore.open(args.store)
     try:
         diff = store.diff(
@@ -461,35 +443,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.runs < 1:
         print("error: --runs must be at least 1", file=sys.stderr)
         return 2
-    source_dir = Path(args.directory)
-    if not source_dir.is_dir():
-        print(f"error: {source_dir} is not a directory", file=sys.stderr)
-        return 2
-    repo = Repository.load(args.repo) if args.repo else None
-    sources = {
-        str(path.relative_to(source_dir)): path.read_text()
-        for path in sorted(source_dir.rglob("*.c"))
-    }
-    if not sources:
-        print("error: no .c files found", file=sys.stderr)
-        return 2
+    tree = _read_tree(args)
     telemetry = obs.Telemetry.fresh()
     profiler = obs.SamplingProfiler(interval=args.interval)
     config = ValueCheckConfig(
-        use_authorship=repo is not None,
+        use_authorship=tree.repo is not None,
         executor=args.executor,
         module_cache=False,  # cached runs sample nothing; profile real work
     )
     started = obs.monotonic()
     with obs.use(telemetry), profiler:
         for _ in range(args.runs):
-            project = Project.from_sources(
-                sources,
-                name=source_dir.name,
-                repo=repo,
-                build_config=set(args.config or ()),
-            )
-            ValueCheck(config).analyze(project)
+            ValueCheck(config).analyze(tree.project())
     wall = obs.monotonic() - started
     stats = profiler.stats()
     layers = telemetry.tracer.self_times()
@@ -950,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--baseline",
-        help="an earlier report CSV; only findings not present in it are shown",
+        help="accepted-findings file (as `gate` reads); only findings it does not cover are shown",
     )
     analyze.add_argument("--top", type=int, default=20, help="findings to print")
     analyze.add_argument(
@@ -1346,9 +1311,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SourceError as error:
-        # Source text that does not parse is an input error, whichever
-        # process lowered it (a process-pool worker raises it remotely).
+    except ReproError as error:
+        # A bad input — a directory, repository, store or baseline file,
+        # or source text that does not parse, whichever process lowered
+        # it (a process-pool worker raises it remotely).
         print(f"error: {error}", file=sys.stderr)
         return 2
 

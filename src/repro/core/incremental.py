@@ -3,15 +3,15 @@
 "This overhead could be reduced by running the analysis incrementally,
 i.e., only on the changed functions and the affected files in a commit."
 
-The analyzer keeps a warm :class:`~repro.core.project.Project`; replaying
-a commit re-parses only the touched files, determines which functions the
-diff actually reached, and settles those functions alone
+The analyzer keeps a warm :class:`~repro.core.project.Project`; moving it
+to a revision re-parses only the files whose text differs from that
+revision's tree, and settles the functions of those modules alone
 (:func:`~repro.core.valuecheck.settle`: resolve → prune) — pruning and
 authorship still see the full project index, which is patched with the
 changed modules' contributions, not rebuilt.  The analysis set also takes
 in every function whose verdict can move without a diff reaching it:
-callers of changed functions, and functions whose candidates read an
-index entry the patch changed."""
+callers of functions the diff touched, and functions whose candidates
+read an index entry the patch changed."""
 
 from __future__ import annotations
 
@@ -21,13 +21,11 @@ from typing import TYPE_CHECKING, Mapping
 from repro import obs
 from repro.core.findings import CandidateKind, Finding
 from repro.core.project import IndexChanges, Project
-from repro.core.valuecheck import ValueCheckConfig, rank, settle
+from repro.core.valuecheck import ValueCheckConfig, settle
 from repro.errors import VcsError
 from repro.obs.clock import monotonic
 from repro.ir.builder import lower_source
 from repro.vcs.diff import myers_diff
-from repro.vcs.objects import Commit
-from repro.vcs.repository import Repository
 
 if TYPE_CHECKING:
     from repro.engine.scheduler import EngineStats
@@ -39,16 +37,15 @@ class IncrementalResult:
     commit_id: str
     changed_files: list[str] = field(default_factory=list)
     changed_functions: list[str] = field(default_factory=list)
-    # The re-analysed functions' findings: settled (``is_reported`` is
-    # final) by ``analyze_changes``, and ranked among themselves by
-    # ``replay_next``.
+    # The re-analysed functions' findings, settled (``is_reported`` is
+    # final) and unranked: ranking reads every reported finding of the
+    # project, so it is the caller's one pass over its whole report.
     findings: list[Finding] = field(default_factory=list)
     # Monotonic-clock duration of this incremental step (see
     # repro.obs.clock — never wall-clock, daemons run across NTP slews).
     seconds: float = 0.0
-    # Every (file, function) the step actually re-analysed: the changed
-    # functions plus widened callers (and, under ``full_modules``, the
-    # untouched siblings in changed files).
+    # Every (file, function) the step re-analysed: every function of
+    # each changed module, plus the callers and index readers it widened to.
     analyzed_functions: list[tuple[str, str]] = field(default_factory=list)
     deleted_files: list[str] = field(default_factory=list)
     # What the engine pass did — warm-state consumers (the analysis
@@ -60,11 +57,6 @@ class IncrementalResult:
 
     def reported(self) -> list[Finding]:
         return [finding for finding in self.findings if finding.is_reported]
-
-
-def commit_changes(commit: Commit) -> dict[str, str | None]:
-    """The C sources one commit touches: path → new text (None = deleted)."""
-    return {path: text for path, text in commit.changes.items() if path.endswith(".c")}
 
 
 def changed_line_ranges(old_text: str, new_text: str) -> list[tuple[int, int]]:
@@ -85,50 +77,42 @@ def changed_line_ranges(old_text: str, new_text: str) -> list[tuple[int, int]]:
 
 
 class IncrementalAnalyzer:
-    """Replay commits one by one, analysing only what changed."""
+    """Move a warm project between revisions, analysing only what changed."""
 
     def __init__(
         self,
-        repo: Repository,
-        start_rev: int | str,
-        build_config: set[str] | None = None,
-        config: ValueCheckConfig | None = None,
-    ):
-        rev = repo.rev_index(start_rev)
-        project = Project.from_repository(repo, rev=rev, build_config=build_config)
-        self._bind(project, rev, config)
-
-    @classmethod
-    def from_project(
-        cls,
         project: Project,
         config: ValueCheckConfig | None = None,
         rev: int | str | None = None,
-    ) -> "IncrementalAnalyzer":
-        """Warm incremental state over an already-built project.
+    ):
+        """Warm incremental state over a built project.
 
         ``rev`` is the revision the project was materialised at (HEAD
-        when omitted).  The analysis service opens projects from loose
-        source trees as well as repositories; without a repository only
-        :meth:`analyze_changes` is usable, and only with
-        ``use_authorship=False`` (there is nothing to blame)."""
-        analyzer = cls.__new__(cls)
-        start = project.repo.rev_index(rev) if project.repo is not None else -1
-        analyzer._bind(project, start, config)
-        return analyzer
-
-    def _bind(self, project: Project, rev: int, config: ValueCheckConfig | None) -> None:
+        when omitted).  A project built from loose sources has no
+        repository: only :meth:`analyze_changes` is usable then, and only
+        with ``use_authorship=False`` (there is nothing to blame)."""
         # Imported lazily: the engine's scheduler imports repro.core,
         # whose package import reaches this module.
         from repro.engine import DEFAULT_CACHE, AnalysisEngine
 
         self.repo = project.repo
         self.config = config or ValueCheckConfig()
-        self.current_rev = rev
+        self.current_rev = self.repo.rev_index(rev) if self.repo is not None else -1
         self.project = project
+        #: C paths whose text differs from the current revision's tree:
+        #: the project's own (a worktree read from disk), then every path
+        #: :meth:`analyze_changes` changed since the last :meth:`replay`.
+        self._edited: set[str] = set()
+        if self.repo is not None:
+            tree = self.repo.snapshot_at(self.current_rev)
+            self._edited = {
+                path
+                for path in tree.keys() | project.sources.keys()
+                if path.endswith(".c") and tree.get(path) != project.sources.get(path)
+            }
         # Per-module work (detection + index contributions) goes through
-        # the engine so replaying a commit that reverts a file — or
-        # re-replaying a commit — hits the content-addressed cache.
+        # the engine so moving to a revision that reverts a file — or
+        # back to one seen before — hits the content-addressed cache.
         self.engine = AnalysisEngine(
             executor=self.config.executor,
             workers=self.config.workers,
@@ -147,26 +131,16 @@ class IncrementalAnalyzer:
         _ = self.project.index
         self.project.index_changes()
 
-    def replay_next(self) -> IncrementalResult:
-        """Advance one commit and analyse the changes it introduces; the
-        result's findings are ranked among themselves."""
-        result = self.replay()
-        result.findings = rank(
-            self.project,
-            result.findings,
-            self.config,
-            self.current_rev,
-            fresh=result.findings,
-            provenance=result.provenance,
-        ).findings
-        return result
+    def replay(self, commit: str = "next") -> IncrementalResult:
+        """Move the project to a revision — ``"next"`` after the current
+        one, or any commit id, forward or back — and analyse the tree
+        difference (see :meth:`analyze_changes`).
 
-    def replay(self, commit: str = "next", full_modules: bool = False) -> IncrementalResult:
-        """Analyse the changes of one commit — ``"next"`` after the current
-        revision, or a commit id — and make it the current revision.  The
-        findings come back settled (see :meth:`analyze_changes`).  A
-        commit that does not resolve is a :class:`VcsError`, raised
-        before anything changes."""
+        The project becomes the target revision's tree: a C path that a
+        commit between the two revisions touched, or whose text differs
+        from the current revision's tree, gets its text at the target, so
+        uncommitted edits are dropped.  A commit that does not resolve is
+        a :class:`VcsError`, raised before anything changes."""
         if self.repo is None:
             raise VcsError("project has no repository to replay commits from")
         if commit == "next":
@@ -175,14 +149,21 @@ class IncrementalAnalyzer:
                 raise VcsError("no commit after the current revision")
         else:
             rev = self.repo.rev_index(commit)
-        resolved = self.repo.commits[rev]
-        result = self.analyze_changes(
-            commit_changes(resolved),
-            label=resolved.commit_id,
-            rev=rev,
-            full_modules=full_modules,
+        low, high = sorted((self.current_rev, rev))
+        paths = self._edited.union(
+            path
+            for moved in self.repo.commits[low + 1 : high + 1]
+            for path in moved.changes
+            if path.endswith(".c")
         )
+        changes = {}
+        for path in sorted(paths):
+            text = self.repo.text_at(path, rev)
+            if text != self.project.sources.get(path):
+                changes[path] = text
+        result = self.analyze_changes(changes, label=self.repo.commits[rev].commit_id, rev=rev)
         self.current_rev = rev
+        self._edited.clear()
         return result
 
     def _place(self, results: list[ModuleResult], present: bool) -> None:
@@ -199,17 +180,16 @@ class IncrementalAnalyzer:
         changes: Mapping[str, str | None],
         label: str = "edit",
         rev: int | str | None = None,
-        full_modules: bool = False,
     ) -> IncrementalResult:
         """Analyse an explicit change set (path → new text, None = delete).
 
-        This is the transport-agnostic core ``replay_next`` routes
-        through; the analysis service feeds it uncommitted edits.  With
-        ``full_modules`` the analysis set widens from the diff-touched
-        functions to *every* function of each changed module — the engine
-        re-analyses whole modules anyway, so this costs only resolution
-        and pruning, and it lets a warm session splice the result over
-        its previous full report without stale per-file findings.
+        :meth:`replay` routes through it, and the analysis service feeds
+        it uncommitted edits.  The analysis set is *every* function of
+        each changed module — the engine re-analyses whole modules
+        anyway, so this costs only resolution and pruning, and a warm
+        session splices the result over its previous full report without
+        stale per-file findings (a line shift moves the candidate keys
+        of a change's untouched siblings).
 
         The cost follows the change, not the project: one engine pass
         over the changed modules, an index patch of their contributions,
@@ -228,6 +208,7 @@ class IncrementalAnalyzer:
             for path, text in sorted(changes.items())
             if text is not None
         }
+        self._edited.update(changes)
         changed_functions: list[tuple[str, str]] = []  # (path, function name)
         analysis_set: list[tuple[str, str]] = []
         for path in sorted(changes):
@@ -241,14 +222,12 @@ class IncrementalAnalyzer:
             self.project.set_source(path, new_text, module)
             ranges = changed_line_ranges(old_text, new_text)
             for function in module.functions.values():
-                touched_by_diff = any(
+                analysis_set.append((path, function.name))
+                if any(
                     start <= function.end_line and end >= function.line
                     for start, end in ranges
-                )
-                if touched_by_diff:
+                ):
                     changed_functions.append((path, function.name))
-                if touched_by_diff or full_modules:
-                    analysis_set.append((path, function.name))
         result.changed_functions = [name for _, name in changed_functions]
 
         # One engine pass over the changed modules (a content-cache miss
@@ -299,14 +278,19 @@ class IncrementalAnalyzer:
 
     def _reading_moved_entries(self, changes: IndexChanges) -> set[tuple[str, str]]:
         """Functions whose verdicts a change can move without reaching
-        them: their candidates read an index entry the patch changed.  A
-        parameter candidate reads its function's call sites and its
-        (signature, index) usage flags; an ignored return reads its
-        callee's return-usage flags."""
-        sites, returns, params = changes.sites, changes.returns, changes.params
+        them: their candidates read an index entry the patch changed.
+        Every candidate reads its function's definition; a parameter
+        candidate also reads its function's call sites and its
+        (signature, index) usage flags, and an ignored return its
+        callee's definition (where its returns are) and return-usage
+        flags."""
+        defined, sites, params = changes.functions, changes.sites, changes.params
+        returns = changes.returns | defined
         index = self.project.index
         signatures = {signature for signature, _ in params}
-        suspects = {(loc.file, loc.name) for loc in map(index.location, sites) if loc}
+        suspects = {
+            (loc.file, loc.name) for loc in map(index.location, sites | defined) if loc
+        }
         suspects |= {
             (site.file, site.caller)
             for callee in returns
@@ -326,7 +310,9 @@ class IncrementalAnalyzer:
             for candidate in warm.candidates if warm is not None else ():
                 if candidate.function != name:
                     continue
-                if candidate.kind.is_param_shape:
+                if name in defined:
+                    reads = True
+                elif candidate.kind.is_param_shape:
                     reads = name in sites or (
                         location is not None
                         and (location.signature, candidate.param_index) in params

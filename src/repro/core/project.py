@@ -121,16 +121,18 @@ class ProjectIndex:
             index.param_usage[key] = tuple(flag for flags in shares.values() for flag in flags)
         return index
 
-    def patch(
-        self, path: str, contribution: "ModuleContribution | None"
-    ) -> tuple[dict[str, tuple[CallSite, ...]], dict[ParamKey, tuple[bool, ...]]]:
+    def patch(self, path: str, contribution: "ModuleContribution | None") -> tuple[
+        dict[str, FunctionLocation | None],
+        dict[str, tuple[CallSite, ...]],
+        dict[ParamKey, tuple[bool, ...]],
+    ]:
         """Replace module ``path``'s contribution (``None`` removes the
-        module).  Returns the call-site and usage entries it rewrote,
-        each with the value it had before."""
+        module).  Returns the definition, call-site and usage entries it
+        rewrote, each with the value it had before."""
         old = self.contributions.pop(path, None)
         if contribution is not None:
             self.contributions[path] = contribution
-        self._patch_functions(path, old, contribution)
+        moved_functions = self._patch_functions(path, old, contribution)
 
         old_sites, new_sites = _by_callee(old), _by_callee(contribution)
         moved_sites: dict[str, tuple[CallSite, ...]] = {}
@@ -163,16 +165,17 @@ class ProjectIndex:
                 )
             else:
                 del self.flag_shares[key], self.param_usage[key]
-        return moved_sites, moved_flags
+        return moved_functions, moved_sites, moved_flags
 
     def _patch_functions(
         self, path: str, old: "ModuleContribution | None", new: "ModuleContribution | None"
-    ) -> None:
+    ) -> dict[str, FunctionLocation | None]:
+        moved: dict[str, FunctionLocation | None] = {}
         defined = new.functions if new is not None else {}
         for name, location in defined.items():
             current = self.functions.get(name)
             if current is None or current.file <= path:
-                self._define(name, location)
+                self._define(name, location, moved)
         for name in old.functions.keys() - defined.keys() if old is not None else ():
             if self.functions[name].file != path:
                 continue
@@ -180,12 +183,23 @@ class ProjectIndex:
             others = [
                 other for other, share in self.contributions.items() if name in share.functions
             ]
-            self._define(name, self.contributions[max(others)].functions[name] if others else None)
+            winner = self.contributions[max(others)].functions[name] if others else None
+            self._define(name, winner, moved)
+        return moved
 
-    def _define(self, name: str, location: FunctionLocation | None) -> None:
+    def _define(
+        self,
+        name: str,
+        location: FunctionLocation | None,
+        moved: dict[str, FunctionLocation | None],
+    ) -> None:
         """Point ``name`` at ``location`` (``None`` drops it), keeping
-        :attr:`by_signature` in step."""
+        :attr:`by_signature` in step; ``moved`` gets the location it had
+        before, if it changes."""
         current = self.functions.get(name)
+        if current == location:
+            return
+        moved[name] = current
         if current is not None:
             names = self.by_signature[current.signature]
             names.discard(name)
@@ -218,11 +232,12 @@ class ProjectIndex:
 
 @dataclass(frozen=True)
 class IndexChanges:
-    """Index entries whose value a patch changed: callees whose call
-    sites moved, the subset whose result-used flags changed as a
-    multiset, and the (signature, index) keys whose usage flags changed
-    as a multiset."""
+    """Index entries whose value a patch changed: names whose winning
+    definition moved, appeared or went away, callees whose call sites
+    moved, the subset whose result-used flags changed as a multiset, and
+    the (signature, index) keys whose usage flags changed as a multiset."""
 
+    functions: set[str] = field(default_factory=set)
     sites: set[str] = field(default_factory=set)
     returns: set[str] = field(default_factory=set)
     params: set[ParamKey] = field(default_factory=set)
@@ -330,6 +345,7 @@ class Project:
         # Paths whose share of the built index is out of date, and what
         # each entry held before the first patch since index_changes().
         self._stale: set[str] = set()
+        self._prior_functions: dict[str, FunctionLocation | None] = {}
         self._prior_sites: dict[str, tuple[CallSite, ...]] = {}
         self._prior_flags: dict[ParamKey, tuple[bool, ...]] = {}
         # Revision-keyed caches for analysis helpers (BlameIndex and the
@@ -432,6 +448,11 @@ class Project:
         """The index entries whose value changed since the previous call
         (after patching in every pending module change)."""
         index = self.index
+        functions = {
+            name
+            for name, before in self._prior_functions.items()
+            if index.location(name) != before
+        }
         sites = {
             callee
             for callee, before in self._prior_sites.items()
@@ -447,9 +468,10 @@ class Project:
             for key, before in self._prior_flags.items()
             if sorted(before) != sorted(index.peer_params(*key))
         }
+        self._prior_functions.clear()
         self._prior_sites.clear()
         self._prior_flags.clear()
-        return IndexChanges(sites=sites, returns=returns, params=params)
+        return IndexChanges(functions=functions, sites=sites, returns=returns, params=params)
 
     def invalidate(self, paths: set[str] | None = None) -> None:
         """Drop cached per-module analyses (after incremental updates);
@@ -518,7 +540,9 @@ class Project:
     def _patch_index(self) -> None:
         for path in sorted(self._stale):
             contribution = self._contribution(path) if path in self.sources else None
-            sites, flags = self._index.patch(path, contribution)
+            functions, sites, flags = self._index.patch(path, contribution)
+            for name, before in functions.items():
+                self._prior_functions.setdefault(name, before)
             for callee, before in sites.items():
                 self._prior_sites.setdefault(callee, before)
             for key, before in flags.items():

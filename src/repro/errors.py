@@ -63,6 +63,11 @@ class VcsError(ReproError):
     """Errors from the MiniGit version-control substrate."""
 
 
+class StoreError(ReproError, ValueError):
+    """A findings store or baseline file that cannot be read.  It is a
+    ValueError too, as a bad value read from disk is."""
+
+
 class CorpusError(ReproError):
     """Errors from the synthetic corpus generator."""
 

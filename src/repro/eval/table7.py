@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.incremental import IncrementalAnalyzer
+from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.eval.suite import APP_ORDER, EvalSuite
 
@@ -67,12 +68,13 @@ def run(
             full_seconds = run_state.parse_seconds + report.seconds
         count = min(replay_commits, len(repo.commits) - 1)
         start_rev = len(repo.commits) - 1 - count
-        analyzer = IncrementalAnalyzer(
-            repo, start_rev=start_rev, build_config=set(run_state.app.build_config)
+        project = Project.from_repository(
+            repo, rev=start_rev, build_config=set(run_state.app.build_config)
         )
+        analyzer = IncrementalAnalyzer(project, rev=start_rev)
         total_incremental = 0.0
         for _ in range(count):
-            total_incremental += analyzer.replay_next().seconds
+            total_incremental += analyzer.replay().seconds
         rows.append(
             Table7Row(
                 app=run_state.app.profile.display,

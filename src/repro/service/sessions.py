@@ -83,7 +83,7 @@ class ProjectSession:
         rev: int | str | None = None,
         open_params: dict | None = None,
     ) -> "ProjectSession":
-        analyzer = IncrementalAnalyzer.from_project(project, config=config, rev=rev)
+        analyzer = IncrementalAnalyzer(project, config=config, rev=rev)
         return cls(
             project_id=project_id,
             project=project,
@@ -122,7 +122,10 @@ class ProjectSession:
     def analyze_diff(
         self, changes: dict[str, str | None] | None = None, commit: str | None = None
     ) -> tuple[IncrementalResult, Report]:
-        """Analyse a change set (or replay one commit) incrementally.
+        """Analyse a change set, or move the session to a commit (``"next"``
+        or any commit id), incrementally.  A commit move makes the
+        project that revision's tree, dropping uncommitted edits (see
+        :meth:`IncrementalAnalyzer.replay`).
 
         Returns the raw :class:`IncrementalResult` (what was re-analysed,
         engine cache stats, settled findings) plus the merged full
@@ -137,7 +140,7 @@ class ProjectSession:
         self.report()
         with self.lock:
             if commit is not None:
-                result = self.analyzer.replay(commit, full_modules=True)
+                result = self.analyzer.replay(commit)
             else:
                 # Uncommitted edits cannot be blamed: authorship for the
                 # *changed* functions would attribute new lines to stale
@@ -145,7 +148,7 @@ class ProjectSession:
                 # authorship anyway; sessions with one keep resolving at
                 # the current revision (documented approximation).
                 result = self.analyzer.analyze_changes(
-                    changes, rev=self._rev_for_analysis(), full_modules=True
+                    changes, rev=self._rev_for_analysis()
                 )
             merged = self._merge(result, self._rev_for_analysis())
             self.diff_count += 1

@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
+from repro.errors import StoreError
+
 #: Bump when the row layout changes; SQLite files created by a newer
 #: schema refuse to open under older code instead of mis-reading rows.
 STORE_SCHEMA_VERSION = 1
@@ -185,7 +187,7 @@ class SqliteBackend:
                     (json.dumps(STORE_SCHEMA_VERSION),),
                 )
             elif json.loads(row["value"]) > STORE_SCHEMA_VERSION:
-                raise ValueError(
+                raise StoreError(
                     f"store {self.path} was written by a newer schema "
                     f"({row['value']} > {STORE_SCHEMA_VERSION})"
                 )

@@ -41,6 +41,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import StoreError
+
 BASELINE_SCHEMA = 1
 BASELINE_FILENAME = ".valuecheck-baseline.json"
 
@@ -93,20 +95,28 @@ class BaselineFile:
 
     @classmethod
     def load(cls, path: str | Path) -> "BaselineFile":
-        """Load a baseline file; a missing file is an empty baseline."""
+        """Load a baseline file; a missing file is an empty baseline.
+        Anything that is not a baseline document raises :class:`StoreError`."""
         target = Path(path)
         if not target.exists():
             return cls(path=target)
-        data = json.loads(target.read_text())
-        if data.get("schema", 1) > BASELINE_SCHEMA:
-            raise ValueError(
+        try:
+            data = json.loads(target.read_text())
+            schema, rows = data.get("schema", 1), data.get("entries", [])
+            if type(schema) is not int or not isinstance(rows, list):
+                raise TypeError("'schema' must be an integer and 'entries' a list")
+            entries = [BaselineEntry.from_dict(row) for row in rows]
+            fields = [value for entry in entries for value in entry.as_dict().values()]
+            if not all(isinstance(value, str) for value in fields):
+                raise TypeError("entry fields must be strings")
+        except (OSError, AttributeError, TypeError, ValueError, RecursionError) as error:
+            raise StoreError(f"{target} is not a baseline file: {error}") from error
+        if schema > BASELINE_SCHEMA:
+            raise StoreError(
                 f"{target} was written by a newer baseline schema "
-                f"({data.get('schema')} > {BASELINE_SCHEMA})"
+                f"({schema} > {BASELINE_SCHEMA})"
             )
-        return cls(
-            entries=[BaselineEntry.from_dict(row) for row in data.get("entries", ())],
-            path=target,
-        )
+        return cls(entries=entries, path=target)
 
     def save(self, path: str | Path | None = None) -> Path:
         target = Path(path) if path is not None else self.path

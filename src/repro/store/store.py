@@ -28,11 +28,13 @@ telemetry (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import enum
+import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro import obs
+from repro.errors import StoreError
 from repro.store.backend import (
     MemoryBackend,
     SnapshotMeta,
@@ -217,8 +219,12 @@ class FindingsStore:
 
     @classmethod
     def open(cls, path: str | Path) -> "FindingsStore":
-        """A SQLite-backed store at ``path`` (created on first use)."""
-        return cls(SqliteBackend(path))
+        """A SQLite-backed store at ``path`` (created on first use).  A
+        file that is not one raises :class:`StoreError`."""
+        try:
+            return cls(SqliteBackend(path))
+        except sqlite3.Error as error:
+            raise StoreError(f"{path} is not a findings store: {error}") from error
 
     # -- introspection ---------------------------------------------------
 

@@ -137,7 +137,7 @@ class Repository:
         applied = {
             path: content
             for path, content in sorted(changes.items())
-            if content != self._text(path, head)
+            if content != self.text_at(path, head)
         }
         parent_id = self.commits[-1].commit_id if self.commits else None
         digest = hashlib.sha1(
@@ -195,7 +195,7 @@ class Repository:
             raise VcsError(f"revision {rev} out of range")
         return rev
 
-    def _text(self, path: str, index: int) -> str | None:
+    def text_at(self, path: str, index: int) -> str | None:
         """Text of ``path`` after commit ``index`` (None if absent)."""
         indices = self._file_log_indices(path)
         position = bisect_right(indices, index)
@@ -218,7 +218,7 @@ class Repository:
         return self._tree(self.rev_index(rev))
 
     def file_at(self, path: str, rev: int | str | None = None) -> str:
-        text = self._text(path, self.rev_index(rev))
+        text = self.text_at(path, self.rev_index(rev))
         if text is None:
             raise VcsError(f"{path} not present at revision {rev}")
         return text
@@ -360,9 +360,10 @@ class Repository:
 
     @classmethod
     def load(cls, path: str | Path) -> "Repository":
+        # Unreadable, bad JSON or UTF-8, deep nesting: all are VcsError.
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as error:  # bad JSON or UTF-8, deep nesting
+        except (OSError, ValueError, RecursionError) as error:
             raise VcsError(f"{path} is not a repository file: {error}") from error
         return cls.from_dict(data)
 

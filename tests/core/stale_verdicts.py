@@ -3,7 +3,8 @@
 Both edits leave the affected function untouched, so a warm step that
 re-decides only the functions the diff reached (and their callers) keeps
 a stale verdict.  The shared fixtures drive the regression tests through
-``IncrementalAnalyzer.replay_next`` and ``ProjectSession.analyze_diff``.
+the one warm step, :meth:`IncrementalAnalyzer.analyze_changes`: directly,
+by ``replay``, and by ``ProjectSession.analyze_diff``.
 """
 
 from __future__ import annotations
@@ -49,3 +50,13 @@ def param_history():
     return build_multifile_history(
         [(AUTHOR1, dict(PARAM_BEFORE)), (AUTHOR2, dict(PARAM_AFTER))]
     )
+
+
+#: A moved definition: author2 ignores the result of author1's ``f``.  An
+#: edit that deletes ``lib.c``, or shifts ``f``'s return line, changes
+#: what the untouched ``b.c:g`` reads from ``f``'s definition.
+CALLEE_KEY = "b.c:g:f:4:ignored_return"
+
+
+def callee_history():
+    return build_multifile_history([(AUTHOR1, {"lib.c": LIB}), (AUTHOR2, {"b.c": IGNORES_ONE})])

@@ -83,8 +83,8 @@ class TestIncrementalWidening:
         )
 
     def test_callers_reanalyzed(self):
-        analyzer = IncrementalAnalyzer(self.repo(), start_rev=0)
-        result = analyzer.replay_next()
+        analyzer = IncrementalAnalyzer(Project.from_repository(self.repo(), rev=0), rev=0)
+        result = analyzer.replay()
         assert result.changed_functions == ["fetch"]
         # the caller's ignored-return candidate is rediscovered via widening
         assert any(f.candidate.function == "use" for f in result.findings)
@@ -93,10 +93,11 @@ class TestIncrementalWidening:
         """Every caller of a changed function, by the whole-project call
         graph, is re-analysed on each replayed commit."""
         app = generate_app("mysql", scale=0.05, seed=1)
-        analyzer = IncrementalAnalyzer(app.repo, start_rev=20, build_config=set(app.build_config))
+        project = Project.from_repository(app.repo, rev=20, build_config=set(app.build_config))
+        analyzer = IncrementalAnalyzer(project, rev=20)
         widened = 0
         for _ in range(10):
-            result = analyzer.replay_next()
+            result = analyzer.replay()
             graph = build_call_graph(analyzer.project)
             analyzed = set(result.analyzed_functions)
             for name in result.changed_functions:

@@ -37,6 +37,11 @@ def _expected_changes(before: ProjectIndex, after: ProjectIndex) -> IndexChanges
         if before.sites_of(callee) != after.sites_of(callee)
     }
     return IndexChanges(
+        functions={
+            name
+            for name in before.functions.keys() | after.functions.keys()
+            if before.location(name) != after.location(name)
+        },
         sites=sites,
         returns={callee for callee in sites if usage(before, callee) != usage(after, callee)},
         params={
@@ -109,14 +114,14 @@ def _random_edit(rng: random.Random, project: Project, step: int) -> dict[str, s
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_edits_keep_the_patched_index_equal_to_a_fresh_build(app, seed, monkeypatch):
     project = Project.from_sources(app.project().sources)
-    analyzer = IncrementalAnalyzer.from_project(
+    analyzer = IncrementalAnalyzer(
         project, config=ValueCheckConfig(use_authorship=False, module_cache=False)
     )
     seen = _recording_changes(project, monkeypatch)
     rng = random.Random(seed)
     for step in range(25):
         before = project._build_index()
-        analyzer.analyze_changes(_random_edit(rng, project, step), full_modules=True)
+        analyzer.analyze_changes(_random_edit(rng, project, step))
         after = project._build_index()
         assert project.index == after, step
         _assert_signature_map(project.index, after)
@@ -124,12 +129,12 @@ def test_random_edits_keep_the_patched_index_equal_to_a_fresh_build(app, seed, m
 
 
 def test_replayed_commits_keep_the_patched_index_equal_to_a_fresh_build(app, monkeypatch):
-    analyzer = IncrementalAnalyzer(app.repo, start_rev=20, build_config=set(app.build_config))
-    project = analyzer.project
+    project = Project.from_repository(app.repo, rev=20, build_config=set(app.build_config))
+    analyzer = IncrementalAnalyzer(project, rev=20)
     seen = _recording_changes(project, monkeypatch)
     for _ in range(30):
         before = project._build_index()
-        analyzer.replay_next()
+        analyzer.replay()
         after = project._build_index()
         assert project.index == after, analyzer.current_rev
         _assert_signature_map(project.index, after)

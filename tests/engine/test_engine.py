@@ -202,11 +202,11 @@ class TestIncrementalReplayCaching:
                 (AUTHOR2, {"app.c": BUGGY_APP}),
             ]
         )
-        analyzer = IncrementalAnalyzer(repo, start_rev=0)
+        analyzer = IncrementalAnalyzer(Project.from_repository(repo, rev=0), rev=0)
         warm = set(analyzer.project.analyzed_paths())
         assert warm == set(SOURCES)
         before = DEFAULT_CACHE.stats()
-        analyzer.replay_next()
+        analyzer.replay()
         delta = DEFAULT_CACHE.stats()
         # Only the new content of app.c was a real re-analysis; every
         # other consulted module came from the cache.
@@ -224,10 +224,10 @@ class TestIncrementalReplayCaching:
                 (AUTHOR1, {"app.c": original["app.c"]}),  # revert
             ]
         )
-        analyzer = IncrementalAnalyzer(repo, start_rev=0)
-        analyzer.replay_next()  # introduces the bug: one miss
+        analyzer = IncrementalAnalyzer(Project.from_repository(repo, rev=0), rev=0)
+        analyzer.replay()  # introduces the bug: one miss
         before = DEFAULT_CACHE.stats()
-        analyzer.replay_next()  # revert: content was seen at warm-up
+        analyzer.replay()  # revert: content was seen at warm-up
         delta = DEFAULT_CACHE.stats()
         assert delta.misses - before.misses == 0
 

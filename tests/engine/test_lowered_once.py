@@ -79,14 +79,14 @@ def test_cold_process_analyse_lowers_only_in_the_workers(sources, frontend):
 
 
 def test_analyze_changes_lowers_only_the_changed_modules(sources, frontend):
-    analyzer = IncrementalAnalyzer.from_project(Project.from_sources(sources), config=CONFIG)
+    analyzer = IncrementalAnalyzer(Project.from_sources(sources), config=CONFIG)
     changed = sorted(sources)[:2]
     edits = {
         path: sources[path] + f"\nint lowered_once_{i}(void)\n{{\n    return {i};\n}}\n"
         for i, path in enumerate(changed)
     }
     frontend["lowered"].clear()
-    analyzer.analyze_changes(edits, full_modules=True)
+    analyzer.analyze_changes(edits)
     assert frontend["lowered"] == Counter(dict.fromkeys(changed, 1))
 
 

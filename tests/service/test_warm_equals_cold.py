@@ -14,7 +14,7 @@ import gc
 
 import pytest
 
-from repro.core.incremental import IncrementalResult, commit_changes
+from repro.core.incremental import IncrementalResult
 from repro.core.project import Project
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus import generate_app
@@ -25,10 +25,14 @@ from repro.store import FindingsStore
 from repro.store.fingerprint import project_sources
 
 from tests.core.stale_verdicts import (
+    CALLEE_KEY,
+    IGNORES_ONE,
+    LIB,
     PARAM_KEY,
     PEER_AFTER,
     PEER_BEFORE,
     PEER_KEY,
+    callee_history,
     param_history,
 )
 
@@ -63,6 +67,12 @@ def _sources_at(app, rev: int) -> dict[str, str]:
     return {path: text for path, text in snapshot.items() if path.endswith(".c")}
 
 
+def _c_changes(app, rev: int) -> dict[str, str | None]:
+    """The C sources commit ``rev`` touches: path → new text (None = deleted)."""
+    changes = app.repo.commits[rev].changes
+    return {path: text for path, text in changes.items() if path.endswith(".c")}
+
+
 @pytest.mark.parametrize(
     "options",
     [{}, {"familiarity_model": "ea"}, {"history_pruning": True}],
@@ -86,6 +96,32 @@ def test_replayed_commits(app, options):
         earlier = merged
 
 
+@pytest.mark.parametrize(
+    "target, edited",
+    [(START + 4, False), (START - 3, False), (START + 1, True)],
+    ids=["forward-jump", "backward-jump", "edit-then-next"],
+)
+def test_a_commit_move_lands_on_the_target_tree(app, target, edited):
+    """A session sent any commit id, forward or back, equals a cold run
+    at that revision; a move after an uncommitted edit drops the edit."""
+    config = ValueCheckConfig()
+    build_config = set(app.build_config)
+    project = Project.from_repository(app.repo, rev=START, build_config=build_config)
+    session = ProjectSession.open("warm", project, config, rev=START)
+    session.analyze_full()
+    commit = app.repo.commits[target].commit_id
+    if edited:
+        # A file the next commit leaves alone, so only the move can undo it.
+        path = min(set(project.sources) - set(_c_changes(app, target)))
+        dead = "int edited_here(void)\n{\n    int dead;\n    dead = 1;\n    return 0;\n}\n"
+        session.analyze_diff(changes={path: project.sources[path] + dead})
+        commit = "next"
+    _, merged = session.analyze_diff(commit=commit)
+    cold = Project.from_repository(app.repo, rev=target, build_config=build_config)
+    assert session.project.sources == cold.sources
+    assert _view(merged, session.explain()) == _cold_view(config, cold, target)
+
+
 def test_source_only_edits(app):
     config = ValueCheckConfig(use_authorship=False)
     build_config = set(app.build_config)
@@ -97,7 +133,7 @@ def test_source_only_edits(app):
     earlier = session.analyze_full()
     for rev in range(start + 1, start + 1 + STEPS):
         handed_out = earlier.explain_jsonl()
-        _, merged = session.analyze_diff(changes=commit_changes(app.repo.commits[rev]))
+        _, merged = session.analyze_diff(changes=_c_changes(app, rev))
         cold = Project.from_sources(_sources_at(app, rev), name="warm", build_config=build_config)
         assert _view(merged, session.explain()) == _cold_view(config, cold, None), rev
         assert earlier.explain_jsonl() == handed_out
@@ -183,6 +219,27 @@ class TestStaleVerdicts:
         assert merged.counts() == cold.counts() == {
             "candidates": 11, "cross_scope": 11, "pruned": 11, "reported": 0
         }
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"lib.c": None}, {"lib.c": "\n" * 8 + LIB}],
+        ids=["callee-file-deleted", "callee-return-line-shifted"],
+    )
+    def test_callers_follow_a_moved_definition(self, edit):
+        repo = callee_history()
+        session = ProjectSession.open(
+            "p", Project.from_repository(repo), ValueCheckConfig(), rev=1
+        )
+        (record,) = session.explain(CALLEE_KEY)["records"]
+        assert record["resolution"]["counterpart_authors"] == ["author1"]
+        session.analyze_diff(changes=edit)
+        tree = {"b.c": IGNORES_ONE, **{p: t for p, t in edit.items() if t is not None}}
+        cold = ValueCheck(ValueCheckConfig()).analyze(
+            Project.from_sources(tree, name=repo.name, repo=repo), rev=1
+        )
+        (record,) = session.explain(CALLEE_KEY)["records"]
+        assert record["resolution"]["counterpart_authors"] == ["<external>"]
+        assert session.explain()["records"] == cold.provenance.snapshot()
 
     def test_new_caller_makes_parameter_cross_scope(self):
         repo = param_history()

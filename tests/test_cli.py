@@ -5,8 +5,38 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.project import Project
+from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus import generate_app
 from repro.engine import DEFAULT_CACHE
+from repro.store import BaselineEntry, BaselineFile, fingerprint_findings
+from repro.vcs.repository import Repository
+
+from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
+
+STATUS_LIB = "int status(void)\n{\n    return 1;\n}\n"
+TWO_CHECKS = (
+    "int status(void);\n"
+    "int run(void)\n{\n    int r;\n"
+    "    r = status();\n    if (r) { return 1; }\n"
+    "    r = status();\n    if (r) { return 2; }\n"
+    "    return 0;\n}\n"
+)
+#: Author2 clobbers both checked results: two findings on ``run``/``r``.
+TWINS = TWO_CHECKS.replace("    r = status();\n", "    r = status();\n    r = 0;\n")
+
+
+def _accept(tmp_path, report, project, accepted):
+    """An accepted-findings file covering the ``accepted`` of ``report``'s
+    reported findings by fingerprint, as ``triage --accept`` writes it."""
+    fingerprints = fingerprint_findings(report.reported(), project.sources)
+    baseline = BaselineFile(
+        entries=[
+            BaselineEntry(fingerprints[finding.key].primary, "known", "reviewer")
+            for finding in accepted
+        ]
+    )
+    return baseline.save(tmp_path / "accepted.json")
 
 
 @pytest.fixture(autouse=True)
@@ -55,18 +85,11 @@ class TestAnalyze:
         assert csv_path.read_text().startswith("rank,file,line")
 
     def test_baseline_suppresses_known_findings(self, corpus_dir, tmp_path, capsys):
-        csv_path = tmp_path / "baseline.csv"
-        main(
-            [
-                "analyze",
-                str(corpus_dir / "src"),
-                "--repo",
-                str(corpus_dir / "repo.json"),
-                "--csv",
-                str(csv_path),
-            ]
-        )
-        capsys.readouterr()
+        # The tree under src/ is the repository's HEAD.
+        project = Project.from_repository(Repository.load(corpus_dir / "repo.json"))
+        report = ValueCheck(ValueCheckConfig()).analyze(project)
+        assert report.reported()
+        baseline = _accept(tmp_path, report, project, report.reported())
         rc = main(
             [
                 "analyze",
@@ -74,12 +97,33 @@ class TestAnalyze:
                 "--repo",
                 str(corpus_dir / "repo.json"),
                 "--baseline",
-                str(csv_path),
+                str(baseline),
             ]
         )
         out = capsys.readouterr().out
         assert rc == 0
+        assert f"suppressed {len(report.reported())} known" in out
         assert "0 new" in out  # identical tree: everything is known
+
+    def test_baseline_keeps_a_twin_of_an_accepted_finding(self, tmp_path, capsys):
+        """Two findings on one variable in one function: accepting one
+        leaves the other reported."""
+        repo = build_multifile_history(
+            [(AUTHOR1, {"lib.c": STATUS_LIB, "app.c": TWO_CHECKS}), (AUTHOR2, {"app.c": TWINS})]
+        )
+        repo.save(tmp_path / "repo.json")
+        repo.checkout_to(tmp_path / "src")
+        project = Project.from_repository(repo)
+        report = ValueCheck(ValueCheckConfig()).analyze(project)
+        first, second = report.reported()
+        assert first.key.rsplit(":", 2)[0] == second.key.rsplit(":", 2)[0] == "app.c:run:r"
+        baseline = _accept(tmp_path, report, project, [first])
+        argv = ["analyze", str(tmp_path / "src"), "--repo", str(tmp_path / "repo.json")]
+        assert main([*argv, "--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "baseline suppressed 1 known finding(s); 1 new" in out
+        assert f"app.c:{second.candidate.line} " in out
+        assert f"app.c:{first.candidate.line} " not in out
 
     def test_analyze_summary_includes_stage_walltime(self, corpus_dir, capsys):
         rc = main(["analyze", str(corpus_dir / "src")])
@@ -108,6 +152,44 @@ class TestAnalyze:
     def test_analyze_empty_directory(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path)])
         assert rc == 2
+
+
+class TestInputErrors:
+    """A bad input file is an error message and exit code 2, not a traceback."""
+
+    def _fails(self, argv, capsys) -> str:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_missing_repo_file(self, corpus_dir, tmp_path, capsys):
+        argv = ["analyze", str(corpus_dir / "src"), "--repo", str(tmp_path / "missing.json")]
+        assert "missing.json" in self._fails(argv, capsys)
+
+    def test_repo_file_without_a_commit_table(self, corpus_dir, tmp_path, capsys):
+        repo = tmp_path / "repo.json"
+        repo.write_text(json.dumps({"format": 2, "name": "x"}))
+        self._fails(["analyze", str(corpus_dir / "src"), "--repo", str(repo)], capsys)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"schema": 1, "entries": [', "[]", '{"entries": 5}', '{"entries": [5]}'],
+        ids=["truncated", "array", "entries-not-a-list", "entry-not-an-object"],
+    )
+    def test_malformed_baseline_file(self, corpus_dir, tmp_path, capsys, text):
+        baseline = tmp_path / "b.json"
+        baseline.write_text(text)
+        argv = ["--store", str(tmp_path / "s.db"), "--baseline", str(baseline)]
+        err = self._fails(["gate", str(corpus_dir / "src"), *argv], capsys)
+        assert "b.json is not a baseline file" in err
+        self._fails(["analyze", str(corpus_dir / "src"), "--baseline", str(baseline)], capsys)
+
+    def test_store_that_is_not_a_database(self, corpus_dir, tmp_path, capsys):
+        store = tmp_path / "notadb"
+        store.write_text("this is not a SQLite file\n" * 40)
+        err = self._fails(["snapshot", str(corpus_dir / "src"), "--store", str(store)], capsys)
+        assert "notadb is not a findings store" in err
 
 
 class TestTelemetryFlags:

@@ -90,8 +90,8 @@ def test_program_span_names_are_perfbench_layers():
     with obs.use(telemetry):
         project = Project.from_repository(repo, rev=0)
         report = ValueCheck(config).analyze(project, rev=0)
-        analyzer = IncrementalAnalyzer.from_project(project, config=config, rev=0)
-        step = analyzer.replay_next()
+        analyzer = IncrementalAnalyzer(project, config=config, rev=0)
+        step = analyzer.replay()
         store = FindingsStore.in_memory()
         store.record_snapshot(report.findings, project_sources(project), rev="r0")
         evaluate_gate(store.diff(step.findings, project_sources(analyzer.project), rev="r1"))
