@@ -21,9 +21,9 @@ code" — no cursor or config-dependency exclusion, no cross-scope filter.
 from __future__ import annotations
 
 from repro.baselines.common import BaselineReport, BaselineWarning
-from repro.core.detector import detect_module
 from repro.core.findings import CandidateKind
 from repro.core.project import Project
+from repro.engine import AnalysisEngine
 
 _TOOL = "coverity"
 
@@ -47,9 +47,11 @@ class CoverityUnused:
 
     def analyze(self, project: Project) -> BaselineReport:
         report = BaselineReport(tool=_TOOL)
+        # One pass per module yields both the candidates and the index
+        # contributions the peer-usage inference reads.
+        run = AnalysisEngine(cache=None, rules=("unused_definitions",)).run(project)
         for path in sorted(project.sources):
-            module = project.module(path)
-            for candidate in detect_module(module, project.vfg(path)):
+            for candidate in run.by_path[path].candidates:
                 if candidate.void_cast:
                     continue
                 if any("unused" in attr for attr in candidate.var_attrs):

@@ -1,17 +1,14 @@
 """Cross-scope unused-definition detection — the paper's Fig. 4 algorithm.
 
-The backward fixpoint carries two facts per program point:
+The backward fixpoint carries two facts per program point, LiveSet
+(may-liveness of tracked variables) and DefSet (the lines of the *next*
+definitions that overwrite each variable on every successor path).  It is
+solved once per function by :func:`repro.dataflow.liveness.live_definitions`
+and shared through the module's :class:`~repro.pointer.value_flow.ValueFlowGraph`;
+authors for the DefSet lines are resolved later by the authorship lookup.
 
-* **LiveSet** — may-liveness of tracked variables (as in
-  :mod:`repro.dataflow.liveness`);
-* **DefSet** — for each variable, the lines of the *next* definitions that
-  overwrite it, tracked as a **must** fact: a variable is present only if
-  every successor path overwrites it before function exit.  This is what
-  lets the detector say "overwritten by other developers on *all*
-  successor paths" (§3.1 scenario 3) — authors for those lines are
-  resolved later by the authorship lookup.
-
-When the final pass reaches a store whose variable is not live, it emits a
+A final pass re-walks each block from its converged out state.  A store
+whose variable is not live there becomes a
 :class:`~repro.core.findings.Candidate` whose kind encodes which scenario
 applies:
 
@@ -31,96 +28,16 @@ referenced by pointers: those may be used through indirect reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.cfg.traversal import backward_order
-from repro.dataflow.liveness import _is_live, _kill
-from repro.ir.instructions import Call, CastOp, Instruction, Load, Store, StoreKind
+from repro.dataflow.liveness import LiveDefState, _is_live
+from repro.ir.instructions import Call, Store, StoreKind
 from repro.ir.module import Function, Module
-from repro.ir.values import Temp
-from repro.pointer.value_flow import ValueFlowGraph, build_value_flow
+from repro.pointer.value_flow import (
+    ValueFlowGraph,
+    build_value_flow,
+    call_result_used,
+    value_source,
+)
 from repro.core.findings import Candidate, CandidateKind
-
-_MAX_ITERATIONS = 100
-
-
-@dataclass
-class _State:
-    """LiveSet + DefSet at one program point."""
-
-    live: set[str]
-    defs: dict[str, frozenset[int]]  # must-overwrite lines per var
-
-    @classmethod
-    def bottom(cls) -> "_State":
-        return cls(live=set(), defs={})
-
-    def copy(self) -> "_State":
-        return _State(live=set(self.live), defs=dict(self.defs))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _State)
-            and self.live == other.live
-            and self.defs == other.defs
-        )
-
-
-def _join_states(states: list[_State]) -> _State:
-    """May-union for LiveSet; must-intersection (with line union) for DefSet."""
-    if not states:
-        return _State.bottom()
-    live: set[str] = set()
-    for state in states:
-        live |= state.live
-    common_vars = set(states[0].defs)
-    for state in states[1:]:
-        common_vars &= set(state.defs)
-    defs: dict[str, frozenset[int]] = {}
-    for var in common_vars:
-        lines: frozenset[int] = frozenset()
-        for state in states:
-            lines |= state.defs[var]
-        defs[var] = lines
-    return _State(live=live, defs=defs)
-
-
-def _record_def(var: str, line: int, state: _State, function: Function) -> None:
-    state.defs[var] = frozenset((line,))
-    info = function.variables.get(var)
-    if info is not None and info.is_struct:
-        prefix = var + "#"
-        for name in list(state.defs):
-            if name.startswith(prefix):
-                state.defs[name] = frozenset((line,))
-
-
-def _overwriters_of(var: str, state: _State) -> frozenset[int]:
-    """Must-overwrite lines for ``var`` (falling back to the base struct
-    for field pseudo-variables)."""
-    if var in state.defs:
-        return state.defs[var]
-    if "#" in var:
-        return state.defs.get(var.split("#", 1)[0], frozenset())
-    return frozenset()
-
-
-def _transfer(instruction: Instruction, state: _State, function: Function) -> None:
-    """Backward transfer (no candidate emission — used during fixpoint)."""
-    if isinstance(instruction, Store):
-        tracked = instruction.addr.tracked_var() if instruction.addr is not None else None
-        if tracked is not None:
-            _kill(tracked, state.live, function)
-            _record_def(tracked, instruction.line, state, function)
-    elif isinstance(instruction, Load):
-        addr = instruction.addr
-        tracked = addr.tracked_var() if addr is not None else None
-        if tracked is not None:
-            state.live.add(tracked)
-        else:
-            base = addr.base_var() if addr is not None else None
-            if base is not None:
-                state.live.add(base)
 
 
 class _Detector:
@@ -128,27 +45,15 @@ class _Detector:
         self.function = function
         self.module = module
         self.vfg = vfg
-        self.temp_defs = function.temp_def_map()
-        self.temp_uses = function.temp_use_map()
+        self.temp_defs = vfg.temp_defs(function)
+        self.temp_uses = vfg.temp_uses(function)
 
     # -- helpers -----------------------------------------------------------
 
-    def _value_callee(self, value) -> tuple[str | None, tuple[str, ...]]:
-        """If ``value`` is (transitively through a cast) a call result,
-        return (primary callee, all resolved callees)."""
-        seen = 0
-        while isinstance(value, Temp) and seen < 8:
-            seen += 1
-            defining = self.temp_defs.get(value)
-            if isinstance(defining, Call):
-                resolved = tuple(self.vfg.resolve_call(defining))
-                primary = defining.callee or (resolved[0] if resolved else None)
-                return primary, resolved
-            if isinstance(defining, CastOp):
-                value = defining.value
-                continue
-            return None, ()
-        return None, ()
+    def _callees(self, call: Call) -> tuple[str | None, tuple[str, ...]]:
+        """(primary callee, all resolved callees) of ``call``."""
+        resolved = tuple(self.vfg.resolve_call(call))
+        return call.callee or (resolved[0] if resolved else None), resolved
 
     def _var_info(self, var: str):
         return self.function.var(var)
@@ -161,14 +66,16 @@ class _Detector:
 
     # -- candidate construction ------------------------------------------------
 
-    def _candidate_for_store(self, store: Store, state: _State) -> Candidate | None:
+    def _candidate_for_store(self, store: Store, state: LiveDefState) -> Candidate | None:
         tracked = store.addr.tracked_var() if store.addr is not None else None
         if tracked is None or self._skip_var(tracked):
             return None
         info = self._var_info(tracked)
         assert info is not None
-        overwriters = tuple(sorted(_overwriters_of(tracked, state)))
-        callee, resolved = self._value_callee(store.value)
+        overwriters = tuple(sorted(state.overwriters(tracked)))
+        # A value that came (through casts) from a call: Fig. 4's isRetVal.
+        source = value_source(store.value, self.temp_defs)
+        callee, resolved = self._callees(source) if isinstance(source, Call) else (None, ())
         if store.kind is StoreKind.PARAM_INIT:
             kind = CandidateKind.OVERWRITTEN_ARG if overwriters else CandidateKind.UNUSED_PARAM
         elif overwriters:
@@ -209,17 +116,9 @@ class _Detector:
         )
 
     def _candidate_for_call(self, call: Call) -> Candidate | None:
-        if call.dest is None:
+        if call_result_used(call, self.temp_uses):
             return None
-        real_uses = [
-            use
-            for use in self.temp_uses.get(call.dest, [])
-            if not (isinstance(use, CastOp) and use.to_void)
-        ]
-        if real_uses:
-            return None
-        resolved = tuple(self.vfg.resolve_call(call))
-        callee = call.callee or (resolved[0] if resolved else None)
+        callee, resolved = self._callees(call)
         return Candidate(
             file=self.function.filename,
             function=self.function.name,
@@ -236,28 +135,10 @@ class _Detector:
 
     def run(self) -> list[Candidate]:
         function = self.function
-        order = backward_order(function)
-        in_states: dict[int, _State] = {id(b): _State.bottom() for b in function.blocks}
-        out_states: dict[int, _State] = {id(b): _State.bottom() for b in function.blocks}
-        for _ in range(_MAX_ITERATIONS):
-            changed = False
-            for block in order:
-                out_state = _join_states([in_states[id(s)] for s in block.successors])
-                state = out_state.copy()
-                for instruction in reversed(block.instructions):
-                    _transfer(instruction, state, function)
-                if out_state != out_states[id(block)]:
-                    out_states[id(block)] = out_state
-                    changed = True
-                if state != in_states[id(block)]:
-                    in_states[id(block)] = state
-                    changed = True
-            if not changed:
-                break
-
+        solve = self.vfg.liveness(function)
         candidates: list[Candidate] = []
         for block in function.blocks:
-            state = _join_states([in_states[id(s)] for s in block.successors]).copy()
+            state = solve.states.out_state(block).copy()
             for instruction in reversed(block.instructions):
                 if isinstance(instruction, Store):
                     tracked = (
@@ -271,7 +152,7 @@ class _Detector:
                     candidate = self._candidate_for_call(instruction)
                     if candidate is not None:
                         candidates.append(candidate)
-                _transfer(instruction, state, function)
+                state.step(instruction, function)
 
         # Alias check (§4.1): a variable referenced by pointers may be used
         # through indirect reads — drop its candidates.  The VFG memoizes

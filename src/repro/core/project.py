@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro import obs
-from repro.dataflow.liveness import live_variables
 from repro.errors import ReproError
 from repro.frontend.preprocessor import CondRegion, preprocess
 from repro.ir.builder import lower_source
-from repro.ir.instructions import Call, CastOp
-from repro.ir.module import Function, Module
-from repro.pointer.value_flow import ValueFlowGraph, build_value_flow
+from repro.ir.instructions import Call
+from repro.ir.module import Module
+from repro.pointer.value_flow import ValueFlowGraph, build_value_flow, call_result_used
 from repro.vcs.repository import Repository
 
 # Most callers alternate between at most a couple of revisions (HEAD and a
@@ -261,13 +260,6 @@ class ModuleContribution:
     param_usage: list[tuple[tuple[str, ...], int, bool]] = field(default_factory=list)
 
 
-def _call_result_used(function: Function, call: Call, use_map) -> bool:
-    if call.dest is None:
-        return True  # void calls have no discardable result
-    uses = [u for u in use_map.get(call.dest, []) if not (isinstance(u, CastOp) and u.to_void)]
-    return bool(uses)
-
-
 @obs.traced("engine.contribution")
 def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> ModuleContribution:
     """Compute one module's index contribution (pure function of the
@@ -288,11 +280,11 @@ def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> Module
             param_lines=tuple(p.decl_line for p in function.params),
             signature=signature,
         )
-        use_map = function.temp_use_map()
+        temp_uses = vfg.temp_uses(function)
         for instruction in function.instructions():
             if not isinstance(instruction, Call):
                 continue
-            used = _call_result_used(function, instruction, use_map)
+            used = call_result_used(instruction, temp_uses)
             for callee in vfg.resolve_call(instruction):
                 contribution.call_sites.append(
                     CallSite(
@@ -303,7 +295,7 @@ def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> Module
                         result_used=used,
                     )
                 )
-        live_entry = live_variables(function).live_at_entry()
+        live_entry = vfg.liveness(function).live_at_entry()
         for param in function.params:
             contribution.param_usage.append(
                 (signature, param.param_index, param.name in live_entry)
@@ -339,7 +331,6 @@ class Project:
         self.build_config = set(build_config or ())
         self._modules: dict[str, Module] = {}
         self._regions: dict[str, list[CondRegion]] = {}
-        self._vfgs: dict[str, ValueFlowGraph] = {}
         self._contribs: dict[str, ModuleContribution] = {}
         self._index: ProjectIndex | None = None
         # Paths whose share of the built index is out of date, and what
@@ -427,12 +418,6 @@ class Project:
 
     # -- derived state ------------------------------------------------------
 
-    def vfg(self, path: str) -> ValueFlowGraph:
-        """Value-flow graph for one module (built lazily, cached)."""
-        if path not in self._vfgs:
-            self._vfgs[path] = build_value_flow(self.module(path))
-        return self._vfgs[path]
-
     @property
     def index(self) -> ProjectIndex:
         """The project index: built on first read, then patched per
@@ -477,9 +462,8 @@ class Project:
         """Drop cached per-module analyses (after incremental updates);
         the index re-reads those modules' contributions when next read."""
         if paths is None:
-            paths = set(self.sources) | set(self._contribs) | set(self._vfgs)
+            paths = set(self.sources) | set(self._contribs)
         for path in paths:
-            self._vfgs.pop(path, None)
             self._contribs.pop(path, None)
         if self._index is not None:
             self._stale |= paths
@@ -515,7 +499,8 @@ class Project:
         only recomputes touched files.  The engine installs it from each
         module's result; it is built here only when no engine ran."""
         if path not in self._contribs:
-            self._contribs[path] = build_contribution(path, self.module(path), self.vfg(path))
+            module = self.module(path)
+            self._contribs[path] = build_contribution(path, module, build_value_flow(module))
         return self._contribs[path]
 
     def function_location(self, path: str, name: str) -> FunctionLocation | None:

@@ -1,14 +1,16 @@
-"""Generic worklist solver for backward may-dataflow problems.
+"""Generic worklist solver for backward dataflow problems.
 
 The paper's Fig. 4 loop ("while Change … traverse basic blocks reversely …
-iterate to handle loops") is a fixpoint iteration with union meet.  The
-solver here generalises it: clients supply a per-instruction transfer
-function over an arbitrary mutable state, plus join/copy/equality, and get
-back converged per-block boundary states.
+iterate to handle loops") is a fixpoint iteration.  The solver here
+generalises it: clients supply a per-instruction transfer function over an
+arbitrary mutable state, plus join/copy/equality, and get back converged
+per-block boundary states.  Both the plain liveness of
+:func:`repro.dataflow.liveness.live_variables` and Fig. 4's LiveSet +
+DefSet (:func:`repro.dataflow.liveness.live_definitions`) run on it.
 
-States flow *backwards*: ``out[b] = ⋃ in[s] for s in succ(b)``; ``in[b]``
-is obtained by running the transfer function over the block's instructions
-in reverse.
+States flow *backwards*: ``out[b]`` is the join of ``in[s]`` over
+``succ(b)`` (⊥ at exit blocks); ``in[b]`` is obtained by running the
+transfer function over the block's instructions in reverse.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class BlockStates(Generic[State]):
 
 
 class BackwardSolver(Generic[State]):
-    """Iterates a backward may-analysis to fixpoint.
+    """Iterates a backward analysis to fixpoint.
 
     Parameters
     ----------
@@ -52,7 +54,10 @@ class BackwardSolver(Generic[State]):
     copy:
         Deep-enough copy so that transfer can mutate safely.
     join:
-        In-place union: ``join(accumulator, other)``.
+        In-place binary join: ``join(accumulator, other)``.  A block's out
+        state starts as a copy of its first successor's in state and joins
+        the others into it, so the join needs no identity element: a
+        must-intersection (DefSet) works as well as a union.
     transfer:
         ``transfer(instruction, state)`` mutates ``state`` to reflect
         executing ``instruction`` *before* the program point ``state``
@@ -87,9 +92,13 @@ class BackwardSolver(Generic[State]):
         for _ in range(self.max_iterations):
             changed = False
             for block in order:
-                out_state = self.bottom()
-                for successor in block.successors:
-                    self.join(out_state, states.in_state(successor))
+                successors = block.successors
+                if successors:
+                    out_state = self.copy(states.in_state(successors[0]))
+                    for successor in successors[1:]:
+                        self.join(out_state, states.in_state(successor))
+                else:
+                    out_state = self.bottom()
                 in_state = self.copy(out_state)
                 for instruction in reversed(block.instructions):
                     self.transfer(instruction, in_state)

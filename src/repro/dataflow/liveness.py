@@ -19,13 +19,16 @@ Alias"), not by weakening liveness.
 
 :func:`unused_definitions` is the *plain* detector (no authorship, no
 pruning).  It is what the paper calls "original liveness analysis" in the
-§3.1 preliminary experiment, and it is the base the cross-scope detector
-in :mod:`repro.core.detector` extends.
+§3.1 preliminary experiment.  :func:`live_definitions` is the solve the
+cross-scope detector in :mod:`repro.core.detector` runs on: the same
+LiveSet, plus Fig. 4's DefSet.  :func:`live_variables`, the plain
+detector's solver, is its independent check
+(``tests/dataflow/test_live_definitions.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.dataflow.framework import BackwardSolver, BlockStates
 from repro.ir.instructions import (
@@ -82,6 +85,17 @@ def _kill(var: str, live: set[str], function: Function) -> None:
             live.discard(name)
 
 
+def _step_live(instruction: Instruction, live: set[str], function: Function) -> str | None:
+    """Backward liveness transfer of one instruction; returns the variable
+    it overwrote, if any."""
+    killed = kill_var(instruction)
+    if killed is not None:
+        _kill(killed, live, function)
+    for var in gen_vars(instruction):
+        live.add(var)
+    return killed
+
+
 @dataclass
 class LivenessResult:
     """Converged per-block live sets plus the function analysed."""
@@ -111,31 +125,93 @@ class LivenessResult:
             elif not isinstance(instruction, Alloca):
                 break
         for instruction in reversed(entry.instructions[body_start:]):
-            killed = kill_var(instruction)
-            if killed is not None:
-                _kill(killed, live, self.function)
-            for var in gen_vars(instruction):
-                live.add(var)
+            _step_live(instruction, live, self.function)
         return live
 
 
 def live_variables(function: Function) -> LivenessResult:
     """Solve liveness to fixpoint for ``function``."""
-
-    def transfer(instruction: Instruction, live: set[str]) -> None:
-        killed = kill_var(instruction)
-        if killed is not None:
-            _kill(killed, live, function)
-        for var in gen_vars(instruction):
-            live.add(var)
-
     solver: BackwardSolver[set[str]] = BackwardSolver(
         bottom=set,
         copy=set,
         join=lambda acc, other: acc.update(other),
-        transfer=transfer,
+        transfer=lambda instruction, live: _step_live(instruction, live, function),
     )
     return LivenessResult(function=function, states=solver.solve(function))
+
+
+@dataclass
+class LiveDefState:
+    """Fig. 4's LiveSet + DefSet at one program point.
+
+    ``defs`` maps a variable to the lines of the *next* definitions that
+    overwrite it, as a **must** fact: a variable is present only if every
+    successor path overwrites it before function exit.  This is what lets
+    the detector say "overwritten by other developers on *all* successor
+    paths" (§3.1 scenario 3).
+    """
+
+    live: set[str] = field(default_factory=set)
+    defs: dict[str, frozenset[int]] = field(default_factory=dict)
+
+    def copy(self) -> "LiveDefState":
+        return LiveDefState(set(self.live), dict(self.defs))
+
+    def join(self, other: "LiveDefState") -> None:
+        """May-union for LiveSet; must-intersection (with line union) for
+        DefSet."""
+        self.live |= other.live
+        theirs = other.defs
+        self.defs = {var: lines | theirs[var] for var, lines in self.defs.items() if var in theirs}
+
+    def overwriters(self, var: str) -> frozenset[int]:
+        """Must-overwrite lines for ``var`` (falling back to the base
+        struct for field pseudo-variables)."""
+        if var in self.defs:
+            return self.defs[var]
+        if "#" in var:
+            return self.defs.get(var.split("#", 1)[0], frozenset())
+        return frozenset()
+
+    def step(self, instruction: Instruction, function: Function) -> None:
+        """Backward transfer: liveness as :func:`live_variables`, and a
+        store records its line as the next definition of its variable
+        (and of every tracked field, for a whole-struct store)."""
+        killed = _step_live(instruction, self.live, function)
+        if killed is None:
+            return
+        line = frozenset((instruction.line,))
+        self.defs[killed] = line
+        info = function.variables.get(killed)
+        if info is not None and info.is_struct:
+            prefix = killed + "#"
+            for name in [name for name in self.defs if name.startswith(prefix)]:
+                self.defs[name] = line
+
+
+@dataclass
+class LiveDefResult(LivenessResult):
+    """Converged LiveSet + DefSet per block; the live sets read as
+    :class:`LivenessResult`'s do."""
+
+    states: BlockStates[LiveDefState]
+
+    def live_in(self, block) -> set[str]:
+        return self.states.in_state(block).live
+
+    def live_out(self, block) -> set[str]:
+        return self.states.out_state(block).live
+
+
+def live_definitions(function: Function) -> LiveDefResult:
+    """Solve Fig. 4's LiveSet + DefSet to fixpoint for ``function``."""
+    solver: BackwardSolver[LiveDefState] = BackwardSolver(
+        bottom=LiveDefState,
+        copy=LiveDefState.copy,
+        join=LiveDefState.join,
+        transfer=lambda instruction, state: state.step(instruction, function),
+    )
+    return LiveDefResult(function=function, states=solver.solve(function))
 
 
 @dataclass(frozen=True)
@@ -193,8 +269,6 @@ def unused_definitions(
                                     is_param=False,
                                 )
                             )
-                    _kill(tracked, live, function)
-            for var in gen_vars(instruction):
-                live.add(var)
+            _step_live(instruction, live, function)
     findings.sort(key=lambda finding: (finding.line, finding.var))
     return findings

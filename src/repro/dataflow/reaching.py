@@ -1,8 +1,13 @@
 """Reaching definitions (forward may-analysis).
 
-The value-flow graph (:mod:`repro.pointer.value_flow`) links each load to
-the set of stores that may reach it; this module supplies those sets.
-State: ``var -> frozenset of Store uids``.
+Links each load to the set of stores that may reach it.  State:
+``var -> frozenset of Store uids``.
+
+**Test oracle.**  No production code reads these chains.  They check the
+liveness facts the detector uses (a store reported unused has no
+reaching use, and vice versa: ``tests/test_properties.py``), and the
+SSA-based sparse value-flow graph checks them in turn
+(``tests/ssa/test_construction.py``).
 """
 
 from __future__ import annotations

@@ -200,9 +200,7 @@ class AnalysisEngine:
             return self.executor.map(analyze_job, jobs)
 
         def compute(path: str) -> ModuleResult:
-            return analyze_lowered(
-                path, project.module(path), project.vfg(path), rules=self.rules
-            )
+            return analyze_lowered(path, project.module(path), rules=self.rules)
 
         return self.executor.map(compute, paths)
 

@@ -27,7 +27,7 @@ from repro.core.project import ModuleContribution, build_contribution
 from repro.ir.builder import lower_source
 from repro.ir.module import Module
 from repro.obs import MetricsRegistry
-from repro.pointer.value_flow import ValueFlowGraph, build_value_flow
+from repro.pointer.value_flow import build_value_flow
 
 
 @dataclass
@@ -63,20 +63,20 @@ class ModuleJob:
 
 
 def analyze_lowered(
-    path: str,
-    module: Module,
-    vfg: ValueFlowGraph | None = None,
-    rules: tuple[str, ...] | None = None,
+    path: str, module: Module, rules: tuple[str, ...] | None = None
 ) -> ModuleResult:
-    """Analyse an already-lowered module in-process (serial executor)."""
+    """Analyse an already-lowered module in-process (serial executor).
+
+    The module's value-flow graph lives only for this call: every rule
+    pack and the index contribution read its per-function facts, so each
+    is computed once."""
     # Imported lazily: repro.rules pulls in repro.core, whose package
     # import reaches back here through the engine facade.
     from repro.rules.registry import resolve_rules
 
     local = MetricsRegistry()
     packs = resolve_rules(rules)
-    if vfg is None:
-        vfg = build_value_flow(module)
+    vfg = build_value_flow(module)
     candidates = []
     for pack in packs:
         found = pack.detect(path, module, vfg)

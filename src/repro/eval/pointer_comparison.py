@@ -48,12 +48,13 @@ class PointerComparisonResult:
         return next(row for row in self.rows if row.analysis == name)
 
     def render(self) -> str:
+        width = max(len("Analysis"), *(len(row.analysis) for row in self.rows)) + 2
         lines = [
             f"Pointer-analysis ablation on {self.app} (§4.1 design choice)",
-            f"{'Analysis':<16}{'#Candidates':>12}{'Time':>10}",
+            f"{'Analysis':<{width}}{'#Candidates':>12}{'Time':>10}",
         ]
         for row in self.rows:
-            lines.append(f"{row.analysis:<16}{row.candidates:>12}{row.seconds:>9.2f}s")
+            lines.append(f"{row.analysis:<{width}}{row.candidates:>12}{row.seconds:>9.2f}s")
         andersen = self.by_name("andersen")
         flow = self.by_name("flow-sensitive")
         if andersen.candidates:

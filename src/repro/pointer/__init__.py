@@ -11,7 +11,8 @@ trade-off) for two client queries:
 
 :mod:`repro.pointer.andersen` implements the inclusion-based solver over
 the load/store IR; :mod:`repro.pointer.value_flow` layers the def-use /
-alias queries the detector consumes.
+alias queries the detector consumes.  :mod:`repro.pointer.sparse_vfg` is a
+test oracle with no production caller, so this package does not import it.
 """
 
 from repro.pointer.andersen import AndersenResult, NodeTable, analyze_module
@@ -19,7 +20,6 @@ from repro.pointer.andersen_reference import ReferenceAndersenResult, analyze_mo
 from repro.pointer.steensgaard import SteensgaardResult, analyze_module_steensgaard
 from repro.pointer.flow_sensitive import FlowSensitiveResult, analyze_module_flow_sensitive
 from repro.pointer.value_flow import ValueFlowGraph, build_value_flow
-from repro.pointer.sparse_vfg import SparseValueFlow, build_sparse_vfg
 
 __all__ = [
     "AndersenResult",
@@ -33,6 +33,4 @@ __all__ = [
     "analyze_module_flow_sensitive",
     "ValueFlowGraph",
     "build_value_flow",
-    "SparseValueFlow",
-    "build_sparse_vfg",
 ]

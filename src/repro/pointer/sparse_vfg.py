@@ -15,9 +15,9 @@ Edges:
 ``definition_used`` is True iff some load node is reachable from the
 store's definition node.
 
-**Test oracle.**  No production code builds this graph.  It is the
-independent check on production's dense answer
-(``ValueFlowGraph.definition_used``, from reaching definitions): see
+**Test oracle.**  No production code builds this graph.  It is an
+independent check on the dense answer
+(:func:`repro.dataflow.reaching.definition_has_use`): see
 ``test_sparse_agrees_with_reaching_definitions`` in
 ``tests/ssa/test_construction.py``.
 """

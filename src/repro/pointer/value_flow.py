@@ -1,4 +1,4 @@
-"""Value-flow graph: def-use chains enriched with alias information.
+"""Value-flow graph: per-function def-use facts enriched with alias information.
 
 The paper (§4.1 "Pointer and Alias"): *"To handle aliases of variables, we
 check the value-flow graph generated based on the point-to graph to see
@@ -7,8 +7,10 @@ definition is not an unused definition."*
 
 The graph here combines:
 
-* intra-procedural def-use chains from reaching definitions
-  (:mod:`repro.dataflow.reaching`), and
+* per-function facts every rule pack and the project index read, each
+  computed once, on first request: the temp def and use maps, and Fig. 4's
+  LiveSet + DefSet solve (:func:`repro.dataflow.liveness.live_definitions`);
+  and
 * escape information from Andersen's analysis: a variable whose address is
   taken *and* observed by some pointer may be read through that pointer,
   so its definitions are conservatively considered used.
@@ -19,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.dataflow.reaching import ReachingDefinitions, reaching_definitions
-from repro.ir.instructions import AddrOf, Call, FieldAddr, Store, VarAddr
+from repro.dataflow.liveness import LiveDefResult, live_definitions
+from repro.ir.instructions import AddrOf, Call, CastOp, FieldAddr, Instruction, VarAddr
 from repro.ir.module import Function, Module
+from repro.ir.values import Temp
 from repro.pointer.andersen import AndersenResult, analyze_module
 
 
@@ -31,25 +34,37 @@ class ValueFlowGraph:
 
     module: Module
     andersen: AndersenResult
-    reaching: dict[str, ReachingDefinitions] = field(default_factory=dict)
     # fn name -> vars whose address is taken somewhere in the function
     address_taken: dict[str, set[str]] = field(default_factory=dict)
-    # fn name -> uids of Call instructions whose result temp is never read
-    unused_call_results: dict[str, set[int]] = field(default_factory=dict)
     # (fn name, var) -> alias-check verdict; the detector probes the same
     # variable once per candidate, and each miss costs two points-to
     # translations.
     _indirect_cache: dict[tuple[str, str], bool] = field(default_factory=dict)
+    # fn name -> that function's def map, use map and Fig. 4 solve.
+    _def_maps: dict[str, dict[Temp, Instruction]] = field(default_factory=dict)
+    _use_maps: dict[str, dict[Temp, list[Instruction]]] = field(default_factory=dict)
+    _solves: dict[str, LiveDefResult] = field(default_factory=dict)
 
-    def reaching_for(self, function: Function) -> ReachingDefinitions:
-        if function.name not in self.reaching:
-            self.reaching[function.name] = reaching_definitions(function)
-        return self.reaching[function.name]
+    def temp_defs(self, function: Function) -> dict[Temp, Instruction]:
+        """Each temp's defining instruction (built once per function)."""
+        defs = self._def_maps.get(function.name)
+        if defs is None:
+            defs = self._def_maps[function.name] = function.temp_def_map()
+        return defs
 
-    def definition_used(self, function: Function, store: Store) -> bool:
-        """Direct (def-use chain) use of this store's value."""
-        rd = self.reaching_for(function)
-        return bool(rd.def_to_uses.get(store.uid))
+    def temp_uses(self, function: Function) -> dict[Temp, list[Instruction]]:
+        """The instructions that read each temp (built once per function)."""
+        uses = self._use_maps.get(function.name)
+        if uses is None:
+            uses = self._use_maps[function.name] = function.temp_use_map()
+        return uses
+
+    def liveness(self, function: Function) -> LiveDefResult:
+        """Fig. 4's converged LiveSet + DefSet (solved once per function)."""
+        solve = self._solves.get(function.name)
+        if solve is None:
+            solve = self._solves[function.name] = live_definitions(function)
+        return solve
 
     def may_be_used_indirectly(self, function: Function, var: str) -> bool:
         """The alias check: True if ``var`` is referenced by pointers
@@ -66,11 +81,31 @@ class ValueFlowGraph:
             self._indirect_cache[key] = cached
         return cached
 
-    def call_result_unused(self, function: Function, call: Call) -> bool:
-        return call.uid in self.unused_call_results.get(function.name, set())
-
     def resolve_call(self, call: Call) -> list[str]:
         return self.andersen.callees_of(call)
+
+
+def value_source(value, temp_defs: dict[Temp, Instruction]) -> Instruction | None:
+    """The instruction that defines ``value``, looking through up to eight
+    casts (None for a non-temp, or a longer cast chain)."""
+    for _ in range(8):
+        if not isinstance(value, Temp):
+            return None
+        defining = temp_defs.get(value)
+        if not isinstance(defining, CastOp):
+            return defining
+        value = defining.value
+    return None
+
+
+def call_result_used(call: Call, temp_uses: dict[Temp, list[Instruction]]) -> bool:
+    """Whether anything but a ``(void)`` cast reads the call's result (a
+    void call has no result to discard, so it counts as used)."""
+    if call.dest is None:
+        return True
+    return any(
+        not (isinstance(use, CastOp) and use.to_void) for use in temp_uses.get(call.dest, ())
+    )
 
 
 def _collect_address_taken(function: Function) -> set[str]:
@@ -84,16 +119,6 @@ def _collect_address_taken(function: Function) -> set[str]:
     return taken
 
 
-def _collect_unused_call_results(function: Function) -> set[int]:
-    use_map = function.temp_use_map()
-    unused: set[int] = set()
-    for instruction in function.instructions():
-        if isinstance(instruction, Call) and instruction.dest is not None:
-            if not use_map.get(instruction.dest):
-                unused.add(instruction.uid)
-    return unused
-
-
 def build_value_flow(module: Module, andersen: AndersenResult | None = None) -> ValueFlowGraph:
     """Build the value-flow graph for ``module`` (running Andersen's
     analysis unless a result is supplied)."""
@@ -103,5 +128,4 @@ def build_value_flow(module: Module, andersen: AndersenResult | None = None) -> 
         graph = ValueFlowGraph(module=module, andersen=andersen)
         for function in module.functions.values():
             graph.address_taken[function.name] = _collect_address_taken(function)
-            graph.unused_call_results[function.name] = _collect_unused_call_results(function)
     return graph

@@ -25,12 +25,12 @@ from typing import Callable
 
 from repro import obs
 from repro.core.findings import Candidate, CandidateKind
-from repro.ir.instructions import Call, Load, Store, VarAddr
+from repro.ir.instructions import Call, Store, VarAddr
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import Temp
 from repro.pointer.value_flow import ValueFlowGraph
 from repro.rules.base import RulePack
-from repro.rules.use_after_free import _traced_var
+from repro.rules.use_after_free import _loaded_var
 
 #: Exact acquire-idiom callee names (returns an owned handle).
 ACQUIRE_CALLEES = frozenset(
@@ -52,7 +52,7 @@ class _FunctionScan:
     def __init__(self, function: Function, vfg: ValueFlowGraph):
         self.function = function
         self.vfg = vfg
-        self.temp_defs = function.temp_def_map()
+        self.temp_defs = vfg.temp_defs(function)
         self._pts_cache: dict[str, frozenset] = {}
 
     def _pts(self, var: str) -> frozenset:
@@ -70,7 +70,7 @@ class _FunctionScan:
         if not isinstance(instruction, Call) or instruction.callee not in RELEASE_CALLEES:
             return False
         for arg in instruction.args:
-            var = _traced_var(arg, self.temp_defs)
+            var = _loaded_var(arg, self.temp_defs)
             if var is not None and self._aliases(handle, var):
                 return True
         return False

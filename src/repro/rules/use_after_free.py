@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.findings import Candidate, CandidateKind
-from repro.ir.instructions import Call, CastOp, DerefAddr, Load, Store, VarAddr
+from repro.ir.instructions import Call, DerefAddr, Load, Store, VarAddr
 from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.values import Temp
-from repro.pointer.value_flow import ValueFlowGraph
+from repro.pointer.value_flow import ValueFlowGraph, value_source
 from repro.rules.base import RulePack
 
 #: Exact callee names treated as deallocators.
@@ -32,18 +31,11 @@ FREE_CALLEES = frozenset(
 )
 
 
-def _traced_var(value, temp_defs) -> str | None:
+def _loaded_var(value, temp_defs) -> str | None:
     """The tracked variable ``value`` was loaded from, through casts."""
-    hops = 0
-    while isinstance(value, Temp) and hops < 8:
-        hops += 1
-        defining = temp_defs.get(value)
-        if isinstance(defining, Load) and isinstance(defining.addr, VarAddr):
-            return defining.addr.var
-        if isinstance(defining, CastOp):
-            value = defining.value
-            continue
-        return None
+    defining = value_source(value, temp_defs)
+    if isinstance(defining, Load) and isinstance(defining.addr, VarAddr):
+        return defining.addr.var
     return None
 
 
@@ -51,7 +43,7 @@ class _FunctionScan:
     def __init__(self, function: Function, vfg: ValueFlowGraph):
         self.function = function
         self.vfg = vfg
-        self.temp_defs = function.temp_def_map()
+        self.temp_defs = vfg.temp_defs(function)
         self._pts_cache: dict[str, frozenset] = {}
 
     def _pts(self, var: str) -> frozenset:
@@ -68,7 +60,7 @@ class _FunctionScan:
     def _freed_arg(self, call: Call) -> str | None:
         """The pointer variable a deallocator call frees, if any."""
         for arg in call.args:
-            var = _traced_var(arg, self.temp_defs)
+            var = _loaded_var(arg, self.temp_defs)
             if var is None:
                 continue
             info = self.function.variables.get(var)
@@ -81,14 +73,14 @@ class _FunctionScan:
         if isinstance(instruction, (Load, Store)):
             for addr in instruction.addresses():
                 if isinstance(addr, DerefAddr):
-                    base = _traced_var(addr.pointer, self.temp_defs)
+                    base = _loaded_var(addr.pointer, self.temp_defs)
                     if base is not None and self._aliases(freed, base):
                         return True
             return False
         if isinstance(instruction, Call):
             # Passing the freed pointer onward — including a second free.
             for arg in instruction.args:
-                base = _traced_var(arg, self.temp_defs)
+                base = _loaded_var(arg, self.temp_defs)
                 if base is not None and self._aliases(freed, base):
                     return True
         return False

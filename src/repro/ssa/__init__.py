@@ -14,9 +14,10 @@ The sparse value-flow graph in :mod:`repro.pointer.sparse_vfg` consumes
 this to give exact def→use edges.
 
 **Test oracle.**  The production pipeline does not use this package.  It
-and :mod:`repro.pointer.sparse_vfg` are kept as the independent check on
-the reaching-definitions facts production answers "is this definition
-used?" from (``ValueFlowGraph.definition_used``): the property test
+and :mod:`repro.pointer.sparse_vfg` are kept as an independent check on
+the dense reaching-definitions answer to "is this definition used?"
+(:func:`repro.dataflow.reaching.definition_has_use`, itself the oracle
+the liveness property tests check against): the property test
 ``test_sparse_agrees_with_reaching_definitions`` in
 ``tests/ssa/test_construction.py`` requires the two to agree on random
 programs."""

@@ -96,7 +96,7 @@ class TestHistoryPruner:
         pruner = HistoryPruner()
         from repro.core.detector import detect_module
 
-        candidates = detect_module(project.module("p.c"), project.vfg("p.c"))
+        candidates = detect_module(project.module("p.c"))
         target = [c for c in candidates if c.var == "probe_count"]
         assert target
         assert pruner.should_prune(target[0], PruneContext(project=project)) in (True, False)

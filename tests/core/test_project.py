@@ -42,10 +42,10 @@ class TestConstruction:
         project = Project.from_sources(SOURCES)
         assert project.loc() == sum(len(t.split("\n")) for t in SOURCES.values())
 
-    def test_unknown_module_vfg_raises(self):
+    def test_unknown_module_raises(self):
         project = Project.from_sources(SOURCES)
         with pytest.raises(ReproError):
-            project.vfg("missing.c")
+            project.module("missing.c")
 
 
 class TestIndex:

@@ -10,7 +10,6 @@ from repro.core.pruning import (
     UnusedHintsPruner,
     default_pipeline,
 )
-from repro.pointer import build_value_flow
 
 from tests.core.helpers import module_of, project_from_sources
 
@@ -20,7 +19,7 @@ def candidates_for(sources, config=None):
     out = []
     for path in sorted(project.sources):
         module = project.module(path)
-        out.extend(detect_module(module, project.vfg(path)))
+        out.extend(detect_module(module))
     return project, out
 
 

@@ -24,7 +24,7 @@ def candidates_for(sources):
     project = project_from_sources(sources)
     out = []
     for path in sorted(project.sources):
-        out.extend(detect_module(project.module(path), project.vfg(path)))
+        out.extend(detect_module(project.module(path)))
     return project, out
 
 

@@ -158,3 +158,11 @@ class TestPointerComparison:
 
     def test_render(self, result):
         assert "Pointer-analysis ablation" in result.render()
+        # Every row lines up under its header, the longest name included.
+        header, *rows = result.render().splitlines()[1:-1]
+        candidates_end = header.index("#Candidates") + len("#Candidates")
+        assert len(rows) == len(result.rows)
+        for line, row in zip(rows, result.rows):
+            assert line.startswith(row.analysis + " ")
+            assert line[:candidates_end].endswith(f" {row.candidates}"), line
+            assert len(line) == len(header), line

@@ -1,7 +1,9 @@
 """Unit tests for the value-flow graph (alias + def-use queries)."""
 
-from repro.ir import Call, Store, StoreKind, lower_source
+from repro.dataflow.reaching import definition_has_use, reaching_definitions
+from repro.ir import Call, lower_source
 from repro.pointer import build_value_flow
+from repro.pointer.value_flow import call_result_used
 
 
 def build(text):
@@ -15,17 +17,17 @@ def stores_of(function, var):
 
 class TestDefinitionUse:
     def test_direct_use(self):
-        module, vfg = build("int f(void) { int a = 1; return a; }")
+        module, _ = build("int f(void) { int a = 1; return a; }")
         f = module.functions["f"]
         (store,) = stores_of(f, "a")
-        assert vfg.definition_used(f, store)
+        assert definition_has_use(reaching_definitions(f), store)
 
     def test_dead_store(self):
-        module, vfg = build("int f(void) { int a = 1; a = 2; return a; }")
+        module, _ = build("int f(void) { int a = 1; a = 2; return a; }")
         f = module.functions["f"]
         first, second = stores_of(f, "a")
-        assert not vfg.definition_used(f, first)
-        assert vfg.definition_used(f, second)
+        assert not definition_has_use(reaching_definitions(f), first)
+        assert definition_has_use(reaching_definitions(f), second)
 
 
 class TestAliasCheck:
@@ -61,13 +63,13 @@ class TestCallResults:
         module, vfg = build("int g(void);\nvoid f(void) { g(); }")
         f = module.functions["f"]
         (call,) = [i for i in f.instructions() if isinstance(i, Call)]
-        assert vfg.call_result_unused(f, call)
+        assert not call_result_used(call, vfg.temp_uses(f))
 
     def test_used_call_result(self):
         module, vfg = build("int g(void);\nint f(void) { return g(); }")
         f = module.functions["f"]
         (call,) = [i for i in f.instructions() if isinstance(i, Call)]
-        assert not vfg.call_result_unused(f, call)
+        assert call_result_used(call, vfg.temp_uses(f))
 
     def test_resolves_indirect(self):
         src = """
