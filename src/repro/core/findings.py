@@ -35,11 +35,6 @@ class CandidateKind(enum.Enum):
     def is_param_shape(self) -> bool:
         return self in (CandidateKind.UNUSED_PARAM, CandidateKind.OVERWRITTEN_ARG)
 
-    @property
-    def is_semantic(self) -> bool:
-        """Kinds whose evidence is a site pair, not an unused definition."""
-        return self in (CandidateKind.USE_AFTER_FREE, CandidateKind.RESOURCE_LEAK)
-
 
 @dataclass(frozen=True)
 class Candidate:

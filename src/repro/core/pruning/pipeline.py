@@ -90,9 +90,6 @@ class PruningPipeline:
 
 def default_pipeline(
     enable: set[str] | None = None,
-    min_increments: int = 2,
-    peer_min_occurrences: int = 10,
-    peer_unused_fraction: float = 0.5,
     include_history: bool = False,
 ) -> PruningPipeline:
     """The paper's pipeline, in the paper's order.  ``enable`` restricts to
@@ -100,11 +97,9 @@ def default_pipeline(
     the §9.1 future-work pruner after the four published strategies."""
     pruners: list[Pruner] = [
         ConfigDependencyPruner(),
-        CursorPruner(min_increments=min_increments),
+        CursorPruner(),
         UnusedHintsPruner(),
-        PeerDefinitionPruner(
-            min_occurrences=peer_min_occurrences, unused_fraction=peer_unused_fraction
-        ),
+        PeerDefinitionPruner(),
     ]
     if include_history:
         pruners.append(HistoryPruner())

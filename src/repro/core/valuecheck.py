@@ -43,9 +43,6 @@ class ValueCheckConfig:
     pruners: frozenset[str] | None = None
     use_familiarity: bool = True
     dok_weights: DokWeights = field(default_factory=DokWeights)
-    peer_min_occurrences: int = 10
-    peer_unused_fraction: float = 0.5
-    cursor_min_increments: int = 2
     # §9 extensions (both off by default, matching the paper's tool):
     # the commit-history/comment pruner of §9.1 and the survey-free EA
     # familiarity model of §9.2.
@@ -66,12 +63,15 @@ class ValueCheckConfig:
 def resolve_semantic(
     project: Project, candidates: list[Candidate], rev: int | str | None
 ) -> list[Finding]:
-    """Resolve semantic-rule candidates (use-after-free, resource leaks).
+    """Resolve candidates by blame alone, each as cross-scope.
 
-    These carry their evidence in ``Candidate.evidence_lines``; authorship
-    reuses the blame machinery directly — the definition author against
-    the authors of the evidence sites — instead of the unused-definition
-    scenario dispatch in :class:`CrossScopeResolver`."""
+    Semantic-rule candidates (use-after-free, resource leaks) carry their
+    evidence in ``Candidate.evidence_lines``: the candidate line's author
+    is set against the authors of the evidence sites, instead of the
+    unused-definition scenario dispatch in :class:`CrossScopeResolver`.
+    Classic candidates, which carry no evidence, come here under the
+    ``use_authorship=False`` ablation; blame, when there is a
+    repository, still names the author the ranking scores."""
     if not candidates:
         return []
     blame = project.blame_index(rev) if project.repo is not None else None
@@ -89,7 +89,11 @@ def resolve_semantic(
                 evidence = blame.line_info(candidate.file, line)
                 if evidence is not None and evidence.author.name not in counterparts:
                     counterparts.append(evidence.author.name)
-        evidence_at = ", ".join(str(line) for line in candidate.evidence_lines)
+        if candidate.evidence_lines:
+            evidence_at = ", ".join(str(line) for line in candidate.evidence_lines)
+            reason = f"{candidate.kind.value} evidence at line(s) {evidence_at}"
+        else:
+            reason = "authorship filtering disabled"
         findings.append(
             Finding(
                 candidate=candidate,
@@ -100,34 +104,11 @@ def resolve_semantic(
                     introducing_author=def_author,
                     blamed_file=candidate.file,
                     introduced_day=introduced_day,
-                    reason=f"{candidate.kind.value} evidence at line(s) {evidence_at}",
+                    reason=reason,
                     peer_sites=len(candidate.evidence_lines),
                 ),
             )
         )
-    return findings
-
-
-def _without_authorship(
-    project: Project, candidates: list[Candidate], rev: int | str | None
-) -> list[Finding]:
-    """The ``use_authorship=False`` ablation: every candidate counts as
-    cross-scope; blame, when there is a repository, still names the
-    author the ranking scores."""
-    blame = project.blame_index(rev) if project.repo is not None else None
-    findings = []
-    for candidate in candidates:
-        info = blame.line_info(candidate.file, candidate.line) if blame is not None else None
-        author = info.author.name if info is not None else ""
-        authorship = AuthorshipInfo(
-            cross_scope=True,
-            def_author=author,
-            introducing_author=author,
-            blamed_file=candidate.file,
-            introduced_day=info.day if info is not None else -1,
-            reason="authorship filtering disabled",
-        )
-        findings.append(Finding(candidate=candidate, authorship=authorship))
     return findings
 
 
@@ -148,9 +129,6 @@ def _packs(config: ValueCheckConfig):
 def _pipeline(config: ValueCheckConfig) -> PruningPipeline:
     return default_pipeline(
         enable=set(config.pruners) if config.pruners is not None else None,
-        min_increments=config.cursor_min_increments,
-        peer_min_occurrences=config.peer_min_occurrences,
-        peer_unused_fraction=config.peer_unused_fraction,
         include_history=config.history_pruning,
     )
 
@@ -165,8 +143,9 @@ def settle(
 ) -> list[Finding]:
     """The first half of every analysis's decision: resolve → prune.
 
-    ``candidates`` are resolved (authorship or its ablation; semantic
-    kinds by :func:`resolve_semantic`) and the cross-scope ones pruned,
+    ``candidates`` are resolved (by the cross-scope resolver, or by
+    :func:`resolve_semantic` for semantic kinds and under the
+    ``use_authorship=False`` ablation) and the cross-scope ones pruned,
     so ``is_reported`` is final on every returned finding.  They come
     back in :func:`rank`'s partition order: cross-scope before local,
     classic before semantic kinds, candidate order within each part.
@@ -177,9 +156,9 @@ def settle(
     semantic = [c for c in candidates if c.kind in evidence_kinds]
     if config.use_authorship:
         decided = project.resolver(rev).resolve_all(classic)
+        decided += resolve_semantic(project, semantic, rev)
     else:
-        decided = _without_authorship(project, classic, rev)
-    decided += resolve_semantic(project, semantic, rev)
+        decided = resolve_semantic(project, classic + semantic, rev)
     if provenance is not None:
         for finding in decided:
             if finding.authorship is not None:

@@ -66,14 +66,6 @@ class Construct:
 
 
 @dataclass
-class _FileCommit:
-    day: int
-    author: Author
-    message: str
-    rounds: list[tuple[int, int]]  # (construct index, round) made visible
-
-
-@dataclass
 class FilePlan:
     """A host file: prelude + constructs, with its commit schedule."""
 

@@ -93,11 +93,8 @@ def run(app: SyntheticApp | None = None, seed: int = 7) -> RulesEvalResult:
     report = ValueCheck(ValueCheckConfig()).analyze(project)
     result = RulesEvalResult(seconds=report.seconds)
     for pack in registered_packs():
-        kinds = set(pack.kinds)
         reported = [
-            finding
-            for finding in report.reported()
-            if finding.candidate.kind in kinds
+            finding for finding in report.reported() if finding.candidate.kind in pack.kinds
         ]
         tp = 0
         for finding in reported:

@@ -49,9 +49,6 @@ class SourceFile:
             return self.lines[number - 1]
         return ""
 
-    def line_count(self) -> int:
-        return len(self.lines)
-
     def slice(self, span: Span) -> list[str]:
         """Return the lines covered by ``span`` (clipped to the file)."""
         return self.lines[span.start - 1 : min(span.end, len(self.lines))]

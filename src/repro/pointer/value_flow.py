@@ -10,10 +10,11 @@ The graph here combines:
 * per-function facts every rule pack and the project index read, each
   computed once, on first request: the temp def and use maps, and Fig. 4's
   LiveSet + DefSet solve (:func:`repro.dataflow.liveness.live_definitions`);
-  and
 * escape information from Andersen's analysis: a variable whose address is
   taken *and* observed by some pointer may be read through that pointer,
-  so its definitions are conservatively considered used.
+  so its definitions are conservatively considered used; and
+* the alias test of the site-pair rules (use-after-free, resource leaks):
+  two variables may alias when their Andersen points-to sets meet.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.dataflow.liveness import LiveDefResult, live_definitions
-from repro.ir.instructions import AddrOf, Call, CastOp, FieldAddr, Instruction, VarAddr
+from repro.ir.instructions import AddrOf, Call, CastOp, FieldAddr, Instruction, Load, VarAddr
 from repro.ir.module import Function, Module
 from repro.ir.values import Temp
 from repro.pointer.andersen import AndersenResult, analyze_module
@@ -44,6 +45,9 @@ class ValueFlowGraph:
     _def_maps: dict[str, dict[Temp, Instruction]] = field(default_factory=dict)
     _use_maps: dict[str, dict[Temp, list[Instruction]]] = field(default_factory=dict)
     _solves: dict[str, LiveDefResult] = field(default_factory=dict)
+    # (fn name, var) -> points-to set; a site-pair rule tests one site's
+    # variable against every variable loaded after it.
+    _points_to: dict[tuple[str, str], frozenset] = field(default_factory=dict)
 
     def temp_defs(self, function: Function) -> dict[Temp, Instruction]:
         """Each temp's defining instruction (built once per function)."""
@@ -81,6 +85,20 @@ class ValueFlowGraph:
             self._indirect_cache[key] = cached
         return cached
 
+    def may_alias(self, function: Function, var: str, other: str) -> bool:
+        """The site-pair alias test: the same variable, or two whose
+        points-to sets meet."""
+        return var == other or not self._pts(function, var).isdisjoint(
+            self._pts(function, other)
+        )
+
+    def _pts(self, function: Function, var: str) -> frozenset:
+        key = (function.name, var)
+        pts = self._points_to.get(key)
+        if pts is None:
+            pts = self._points_to[key] = self.andersen.pts_of_var(function, var)
+        return pts
+
     def resolve_call(self, call: Call) -> list[str]:
         return self.andersen.callees_of(call)
 
@@ -95,6 +113,15 @@ def value_source(value, temp_defs: dict[Temp, Instruction]) -> Instruction | Non
         if not isinstance(defining, CastOp):
             return defining
         value = defining.value
+    return None
+
+
+def loaded_var(value, temp_defs: dict[Temp, Instruction]) -> str | None:
+    """The variable ``value`` was loaded from, through casts (None when it
+    is not a plain variable load)."""
+    defining = value_source(value, temp_defs)
+    if isinstance(defining, Load) and isinstance(defining.addr, VarAddr):
+        return defining.addr.var
     return None
 
 

@@ -92,7 +92,7 @@ def semantic_kinds(packs: Iterable[RulePack] | None = None) -> frozenset[Candida
 
 def rule_description(kind: CandidateKind) -> str:
     """SARIF shortDescription for a kind, from its owning pack."""
-    return _BY_KIND[kind].descriptions()[kind]
+    return _BY_KIND[kind].kinds[kind]
 
 
 def gate_policy_for(kind_value: str) -> str:

@@ -13,26 +13,18 @@ from repro.ir.module import Module
 from repro.pointer.value_flow import ValueFlowGraph
 from repro.rules.base import RulePack
 
-# The SARIF descriptions previously hardcoded in core/sarif.py — kept
-# byte-identical so existing SARIF logs do not change under the port.
-_DESCRIPTIONS = {
-    CandidateKind.IGNORED_RETURN: "Return value ignored at a call site",
-    CandidateKind.UNUSED_PARAM: "Parameter value never read",
-    CandidateKind.OVERWRITTEN_ARG: "Parameter overwritten before being read",
-    CandidateKind.OVERWRITTEN_DEF: "Definition overwritten on every path",
-    CandidateKind.DEAD_STORE: "Definition dead at function exit",
-}
-
 
 class UnusedDefinitionsPack(RulePack):
     name = "unused_definitions"
-    kinds = (
-        CandidateKind.IGNORED_RETURN,
-        CandidateKind.UNUSED_PARAM,
-        CandidateKind.OVERWRITTEN_ARG,
-        CandidateKind.OVERWRITTEN_DEF,
-        CandidateKind.DEAD_STORE,
-    )
+    # The SARIF descriptions previously hardcoded in core/sarif.py — kept
+    # byte-identical so existing SARIF logs do not change under the port.
+    kinds = {
+        CandidateKind.IGNORED_RETURN: "Return value ignored at a call site",
+        CandidateKind.UNUSED_PARAM: "Parameter value never read",
+        CandidateKind.OVERWRITTEN_ARG: "Parameter overwritten before being read",
+        CandidateKind.OVERWRITTEN_DEF: "Definition overwritten on every path",
+        CandidateKind.DEAD_STORE: "Definition dead at function exit",
+    }
     pruner_policy = None  # all strategies, the paper's pipeline
     resolution = "authorship"
     gate_policy = "block"
@@ -40,6 +32,3 @@ class UnusedDefinitionsPack(RulePack):
     @obs.traced("rules.detect")
     def detect(self, path: str, module: Module, vfg: ValueFlowGraph) -> list[Candidate]:
         return detect_module(module, vfg)
-
-    def descriptions(self) -> dict[CandidateKind, str]:
-        return dict(_DESCRIPTIONS)

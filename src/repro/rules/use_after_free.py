@@ -5,9 +5,8 @@ known deallocator whose argument is a tracked pointer variable — then
 explores the CFG forward from each site looking for *use sites*: a
 dereference (read or write) or a call argument that reaches the freed
 pointer or one of its Andersen aliases before the pointer is
-re-assigned.  Reachability is plain CFG traversal (the existing
-:mod:`repro.cfg.traversal` model); aliasing is the same bitset points-to
-client the unused-definitions alias check uses.
+re-assigned.  The walk and the alias test on loaded values are the ones
+the resource-leak pack uses (:class:`repro.rules.base.SiteScan`).
 
 Noise control: a free site only exists when the callee name is one of
 the *exact* deallocator idioms below and the argument is a
@@ -20,10 +19,10 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.findings import Candidate, CandidateKind
-from repro.ir.instructions import Call, DerefAddr, Load, Store, VarAddr
-from repro.ir.module import BasicBlock, Function, Module
-from repro.pointer.value_flow import ValueFlowGraph, value_source
-from repro.rules.base import RulePack
+from repro.ir.instructions import Call, DerefAddr, Load, Store
+from repro.ir.module import Module
+from repro.pointer.value_flow import ValueFlowGraph, loaded_var
+from repro.rules.base import RulePack, SiteScan, reassigns
 
 #: Exact callee names treated as deallocators.
 FREE_CALLEES = frozenset(
@@ -31,36 +30,11 @@ FREE_CALLEES = frozenset(
 )
 
 
-def _loaded_var(value, temp_defs) -> str | None:
-    """The tracked variable ``value`` was loaded from, through casts."""
-    defining = value_source(value, temp_defs)
-    if isinstance(defining, Load) and isinstance(defining.addr, VarAddr):
-        return defining.addr.var
-    return None
-
-
-class _FunctionScan:
-    def __init__(self, function: Function, vfg: ValueFlowGraph):
-        self.function = function
-        self.vfg = vfg
-        self.temp_defs = vfg.temp_defs(function)
-        self._pts_cache: dict[str, frozenset] = {}
-
-    def _pts(self, var: str) -> frozenset:
-        if var not in self._pts_cache:
-            self._pts_cache[var] = self.vfg.andersen.pts_of_var(self.function, var)
-        return self._pts_cache[var]
-
-    def _aliases(self, var: str, other: str) -> bool:
-        if var == other:
-            return True
-        mine, theirs = self._pts(var), self._pts(other)
-        return bool(mine) and bool(theirs) and bool(mine & theirs)
-
+class _FunctionScan(SiteScan):
     def _freed_arg(self, call: Call) -> str | None:
         """The pointer variable a deallocator call frees, if any."""
         for arg in call.args:
-            var = _loaded_var(arg, self.temp_defs)
+            var = loaded_var(arg, self.temp_defs)
             if var is None:
                 continue
             info = self.function.variables.get(var)
@@ -71,51 +45,14 @@ class _FunctionScan:
     def _use_of(self, instruction, freed: str) -> bool:
         """Does this instruction use the freed pointer (or an alias)?"""
         if isinstance(instruction, (Load, Store)):
-            for addr in instruction.addresses():
-                if isinstance(addr, DerefAddr):
-                    base = _loaded_var(addr.pointer, self.temp_defs)
-                    if base is not None and self._aliases(freed, base):
-                        return True
-            return False
-        if isinstance(instruction, Call):
-            # Passing the freed pointer onward — including a second free.
-            for arg in instruction.args:
-                base = _loaded_var(arg, self.temp_defs)
-                if base is not None and self._aliases(freed, base):
-                    return True
-        return False
-
-    @staticmethod
-    def _kills(instruction, freed: str) -> bool:
-        """Re-assignment of the pointer itself ends the freed window."""
-        return (
-            isinstance(instruction, Store)
-            and isinstance(instruction.addr, VarAddr)
-            and instruction.addr.var == freed
+            return any(
+                isinstance(addr, DerefAddr) and self.loads(addr.pointer, freed)
+                for addr in instruction.addresses()
+            )
+        # Passing the freed pointer onward — including a second free.
+        return isinstance(instruction, Call) and any(
+            self.loads(arg, freed) for arg in instruction.args
         )
-
-    def _uses_after(self, block: BasicBlock, index: int, freed: str) -> list[int]:
-        """Lines of every reachable use of ``freed`` past (block, index),
-        stopping each path at a re-assignment."""
-        uses: set[int] = set()
-        stack: list[tuple[BasicBlock, int]] = [(block, index + 1)]
-        seen: set[int] = set()
-        while stack:
-            current, start = stack.pop()
-            stopped = False
-            for instruction in current.instructions[start:]:
-                if self._kills(instruction, freed):
-                    stopped = True
-                    break
-                if self._use_of(instruction, freed):
-                    uses.add(instruction.line)
-            if stopped:
-                continue
-            for successor in current.successors:
-                if id(successor) not in seen:
-                    seen.add(id(successor))
-                    stack.append((successor, 0))
-        return sorted(uses)
 
     def run(self) -> list[Candidate]:
         candidates: list[Candidate] = []
@@ -130,7 +67,9 @@ class _FunctionScan:
                 if freed is None:
                     continue
                 info = self.function.variables[freed]
-                for use_line in self._uses_after(block, index, freed):
+                # Re-assignment of the pointer itself ends the freed window.
+                passed, _ = self.walk_from(block, index, lambda i: reassigns(i, freed))
+                for use_line in sorted({i.line for i in passed if self._use_of(i, freed)}):
                     key = (freed, use_line, instruction.line)
                     if key in emitted:
                         continue
@@ -152,16 +91,9 @@ class _FunctionScan:
         return candidates
 
 
-def detect_use_after_free(module: Module, vfg: ValueFlowGraph) -> list[Candidate]:
-    candidates: list[Candidate] = []
-    for name in sorted(module.functions):
-        candidates.extend(_FunctionScan(module.functions[name], vfg).run())
-    return candidates
-
-
 class UseAfterFreePack(RulePack):
     name = "use_after_free"
-    kinds = (CandidateKind.USE_AFTER_FREE,)
+    kinds = {CandidateKind.USE_AFTER_FREE: "Pointer used after being freed"}
     # Unused-definition pruning heuristics do not transfer to site-pair
     # evidence; only the config-dependency check (dead #if arms) applies.
     pruner_policy = frozenset({"config_dependency"})
@@ -170,7 +102,8 @@ class UseAfterFreePack(RulePack):
 
     @obs.traced("rules.detect")
     def detect(self, path: str, module: Module, vfg: ValueFlowGraph) -> list[Candidate]:
-        return detect_use_after_free(module, vfg)
-
-    def descriptions(self) -> dict[CandidateKind, str]:
-        return {CandidateKind.USE_AFTER_FREE: "Pointer used after being freed"}
+        return [
+            candidate
+            for name in sorted(module.functions)
+            for candidate in _FunctionScan(module.functions[name], vfg).run()
+        ]

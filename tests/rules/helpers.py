@@ -35,6 +35,22 @@ int repointed(int mode) {
 }
 """
 
+#: A free inside a loop: the next iteration reads and frees `p` again.
+UAF_LOOP_SRC = """void free(int *p);
+
+int loop_free(int n) {
+    int slot = n;
+    int *p = &slot;
+    int total = 0;
+    while (n > 0) {
+        total += *p;
+        free(p);
+        n--;
+    }
+    return total;
+}
+"""
+
 #: One resource leak: the early return skips the fclose.
 LEAK_SRC = """struct file *fopen(int mode);
 void fclose(struct file *h);

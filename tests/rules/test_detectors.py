@@ -4,13 +4,16 @@ found, the benign twin stays silent, and the evidence trail is right."""
 from __future__ import annotations
 
 from repro.core.findings import CandidateKind
-from repro.rules import resource_leak
+from repro.core.project import Project
+from repro.ir.instructions import Call
+from repro.rules.base import SiteScan, reassigns
 from repro.rules.registry import resolve_rules
 
 from tests.rules.helpers import (
     LEAK_BENIGN_SRC,
     LEAK_SRC,
     UAF_BENIGN_SRC,
+    UAF_LOOP_SRC,
     UAF_SRC,
     analyze,
     reported,
@@ -42,6 +45,16 @@ class TestUseAfterFree:
     def test_repointed_pointer_is_benign(self):
         _, report = analyze({"uaf.c": UAF_BENIGN_SRC})
         assert findings_of_kind(report, CandidateKind.USE_AFTER_FREE) == []
+
+    def test_walk_reenters_the_free_sites_own_block(self):
+        # Around the loop the walk passes the read above the free and the
+        # free itself (a double free) in the free's own block.
+        _, report = analyze({"loop.c": UAF_LOOP_SRC})
+        rows = findings_of_kind(report, CandidateKind.USE_AFTER_FREE)
+        assert [(f.candidate.line, f.candidate.evidence_lines) for f in rows] == [
+            (8, (9,)),
+            (9, (9,)),
+        ]
 
     def test_semantic_finding_carries_cross_scope_authorship(self):
         _, report = analyze({"uaf.c": UAF_SRC})
@@ -77,27 +90,25 @@ class TestResourceLeak:
         assert findings_of_kind(report, CandidateKind.RESOURCE_LEAK) == []
 
 
-class TestSemanticTriageHook:
-    def test_triage_oracle_can_veto_candidates(self):
-        from repro.core.valuecheck import ValueCheckConfig
+class TestSiteScanWalk:
+    def _acquire_site(self):
+        function = Project.from_sources({"leak.c": LEAK_SRC}).module("leak.c").functions[
+            "partial_release"
+        ]
+        for block in function.blocks:
+            for index, instruction in enumerate(block.instructions):
+                if reassigns(instruction, "h"):
+                    return block, index
+        raise AssertionError("no store to h")
 
-        assert resource_leak.SEMANTIC_TRIAGE is None  # default: no oracle
-        vetoed = []
+    def test_an_unbarred_walk_reaches_an_exit_past_the_release(self):
+        passed, exits = SiteScan.walk_from(*self._acquire_site(), lambda i: False)
+        assert exits
+        assert any(isinstance(i, Call) and i.callee == "fclose" for i in passed)
 
-        def oracle(candidate, module):
-            vetoed.append(candidate.key)
-            return False
-
-        # The content cache would replay an earlier detection of the same
-        # source; the hook runs at detect time, so bypass the cache here.
-        config = ValueCheckConfig(use_authorship=False, module_cache=False)
-        resource_leak.SEMANTIC_TRIAGE = oracle
-        try:
-            _, report = analyze({"leak.c": LEAK_SRC}, config)
-        finally:
-            resource_leak.SEMANTIC_TRIAGE = None
-        assert vetoed  # the oracle saw the candidate ...
-        assert findings_of_kind(report, CandidateKind.RESOURCE_LEAK) == []
+    def test_a_barrier_stops_each_path_before_its_instruction(self):
+        passed, exits = SiteScan.walk_from(*self._acquire_site(), lambda i: True)
+        assert (passed, exits) == ([], False)
 
 
 class TestRuleSelection:
