@@ -12,6 +12,7 @@ from repro.core import ValueCheck
 from repro.core.cross_scope import CrossScopeResolver
 from repro.core.detector import detect_module
 from repro.corpus import generate_app
+from repro.engine import AnalysisEngine
 from repro.pointer import analyze_module, build_value_flow
 
 
@@ -23,7 +24,9 @@ def small_app():
 @pytest.fixture(scope="module")
 def small_project(small_app):
     project = small_app.project()
-    _ = project.index  # warm caches so timings isolate the measured stage
+    # Warm the engine's module cache and the project's per-module records
+    # so timings isolate the measured stage.
+    AnalysisEngine().run(project)
     return project
 
 

@@ -14,11 +14,11 @@ from typing import Mapping
 
 from repro import obs
 from repro.errors import ReproError
-from repro.frontend.preprocessor import CondRegion, preprocess
+from repro.frontend.preprocessor import CondRegion
 from repro.ir.builder import lower_source
 from repro.ir.instructions import Call
 from repro.ir.module import Module
-from repro.pointer.value_flow import ValueFlowGraph, build_value_flow, call_result_used
+from repro.pointer.value_flow import ValueFlowGraph, call_result_used
 from repro.vcs.repository import Repository
 
 # Most callers alternate between at most a couple of revisions (HEAD and a
@@ -248,9 +248,10 @@ def _usage(sites: tuple[CallSite, ...]) -> list[bool]:
 
 @dataclass
 class ModuleContribution:
-    """One module's slice of the project index.
+    """One module's slice of the project index, plus the raw text's
+    ``#if`` regions the config-dependency pruner reads.
 
-    Built per module (and in parallel by the analysis engine — instances
+    Built per module by the analysis engine (in parallel — instances
     must stay picklable), then merged deterministically by
     :meth:`Project._build_index`.
     """
@@ -258,6 +259,7 @@ class ModuleContribution:
     functions: dict[str, FunctionLocation] = field(default_factory=dict)
     call_sites: list[CallSite] = field(default_factory=list)
     param_usage: list[tuple[tuple[str, ...], int, bool]] = field(default_factory=list)
+    regions: list[CondRegion] = field(default_factory=list)
 
 
 @obs.traced("engine.contribution")
@@ -265,7 +267,7 @@ def build_contribution(path: str, module: Module, vfg: ValueFlowGraph) -> Module
     """Compute one module's index contribution (pure function of the
     module + its value-flow graph, so engine workers can run it off the
     main process)."""
-    contribution = ModuleContribution()
+    contribution = ModuleContribution(regions=module.regions)
     for function in module.functions.values():
         ast_fn = module.unit.function(function.name) if module.unit else None
         signature: tuple[str, ...] = (function.return_type,)
@@ -309,9 +311,11 @@ class Project:
 
     ``sources`` (path → text) is the only per-module truth.  IR is built
     on demand: :meth:`module` lowers a path on first use and memoises it.
-    The analysis engine answers most modules from its content-addressed
-    cache without asking for IR at all, so re-opening a tree whose
-    results are cached parses nothing.
+    Every other per-module fact (index contribution, ``#if`` regions) is
+    the record an :class:`~repro.engine.AnalysisEngine` run installs.
+    The engine answers most modules from its content-addressed cache
+    without asking for IR at all, so re-opening a tree whose results are
+    cached parses nothing.
 
     ``build_config`` is the set of preprocessor macros the "build" enables
     — it determines which ``#if`` arms reach the IR, exactly like the
@@ -330,7 +334,6 @@ class Project:
         self.repo = repo
         self.build_config = set(build_config or ())
         self._modules: dict[str, Module] = {}
-        self._regions: dict[str, list[CondRegion]] = {}
         self._contribs: dict[str, ModuleContribution] = {}
         self._index: ProjectIndex | None = None
         # Paths whose share of the built index is out of date, and what
@@ -393,7 +396,6 @@ class Project:
         next read of :attr:`index` patches the module's old contribution
         out and its new one in."""
         self._modules.pop(path, None)
-        self._regions.pop(path, None)
         if text is None:
             self.sources.pop(path, None)
         else:
@@ -402,26 +404,13 @@ class Project:
                 self._modules[path] = module
         self.invalidate({path})
 
-    def conditional_regions(self, path: str) -> list[CondRegion]:
-        """Every ``#if`` arm of one module's raw text, memoised until
-        :meth:`set_source` changes that text.
-
-        Preprocessing alone does not tokenise, so this costs a line scan,
-        not a parse."""
-        regions = self._regions.get(path)
-        if regions is None:
-            regions = preprocess(
-                self.sources[path], filename=path, config=self.build_config
-            ).regions
-            self._regions[path] = regions
-        return regions
-
     # -- derived state ------------------------------------------------------
 
     @property
     def index(self) -> ProjectIndex:
         """The project index: built on first read, then patched per
-        changed module (equal to a fresh :meth:`_build_index`)."""
+        changed module (equal to a fresh :meth:`_build_index`), from the
+        contributions an engine run installed (see :meth:`contribution`)."""
         if self._index is None:
             self._index = self._build_index()
             self._stale.clear()
@@ -460,7 +449,8 @@ class Project:
 
     def invalidate(self, paths: set[str] | None = None) -> None:
         """Drop cached per-module analyses (after incremental updates);
-        the index re-reads those modules' contributions when next read."""
+        the index re-reads those modules' contributions, which an engine
+        run installs again, when next read."""
         if paths is None:
             paths = set(self.sources) | set(self._contribs)
         for path in paths:
@@ -494,37 +484,31 @@ class Project:
             self._resolver_cache[rev] = CrossScopeResolver(self, rev=rev)
         return self._resolver_cache[rev]
 
-    def _contribution(self, path: str) -> ModuleContribution:
-        """Per-module index contribution, cached so incremental analysis
-        only recomputes touched files.  The engine installs it from each
-        module's result; it is built here only when no engine ran."""
-        if path not in self._contribs:
-            module = self.module(path)
-            self._contribs[path] = build_contribution(path, module, build_value_flow(module))
-        return self._contribs[path]
+    def contribution(self, path: str) -> ModuleContribution:
+        """Module ``path``'s contribution, as the last engine run that
+        analysed the module's current text installed it."""
+        contribution = self._contribs.get(path)
+        if contribution is None:
+            raise ReproError(f"module {path} has no engine result; run AnalysisEngine first")
+        return contribution
 
     def function_location(self, path: str, name: str) -> FunctionLocation | None:
         """Where function ``name`` of module ``path`` sits, read from the
-        module's index contribution (no IR once the engine has run)."""
+        module's contribution (``None`` for a path the project lacks)."""
         if path not in self.sources:
             return None
-        return self._contribution(path).functions.get(name)
-
-    def analyzed_paths(self) -> frozenset[str]:
-        """Paths whose per-module results are currently warm (used by the
-        engine tests to assert eviction granularity)."""
-        return frozenset(self._contribs)
+        return self.contribution(path).functions.get(name)
 
     @obs.traced("core.index")
     def _build_index(self) -> ProjectIndex:
         return ProjectIndex.build(
-            {path: self._contribution(path) for path in sorted(self.sources)}
+            {path: self.contribution(path) for path in sorted(self.sources)}
         )
 
     @obs.traced("core.index")
     def _patch_index(self) -> None:
         for path in sorted(self._stale):
-            contribution = self._contribution(path) if path in self.sources else None
+            contribution = self.contribution(path) if path in self.sources else None
             functions, sites, flags = self._index.patch(path, contribution)
             for name, before in functions.items():
                 self._prior_functions.setdefault(name, before)

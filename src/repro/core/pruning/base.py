@@ -18,16 +18,12 @@ class PruneContext:
     # The revision under analysis (None = HEAD); history-reading pruners
     # blame at it.
     rev: int | str | None = None
-    # Per-run metrics registry; pruners record through the helpers below
-    # (no-ops when the pipeline runs without telemetry).
+    # Per-run metrics registry; pruners record through :meth:`observe`
+    # (a no-op when the pipeline runs without telemetry).
     metrics: MetricsRegistry | None = None
     # Per-run provenance log; the pipeline records one verdict per
     # pruner consulted (None when the run keeps no audit trail).
     provenance: ProvenanceLog | None = None
-
-    def count(self, name: str, value: float = 1, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, value, **labels)
 
     def observe(self, name: str, value: float, **labels) -> None:
         if self.metrics is not None:

@@ -9,7 +9,9 @@ function"; if so, the definition is pruned.
 
 We check the *raw* (pre-preprocessing) text: any occurrence of the
 variable, other than the definition line itself, inside a conditional
-region that overlaps the candidate's function."""
+region that overlaps the candidate's function.  The function's span and
+the module's regions come from its engine record (the regions are what
+the frontend's one preprocessing pass found), so no IR is read."""
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ class ConfigDependencyPruner(BasePruner):
         pattern = re.compile(rf"\b{re.escape(var)}\b")
         raw_lines = context.raw_lines(candidate)
         regions = 0
-        for region in project.conditional_regions(candidate.file):
+        for region in project.contribution(candidate.file).regions:
             if region.end < function.line or region.start > function.end_line:
                 continue
             regions += 1

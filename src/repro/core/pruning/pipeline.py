@@ -35,32 +35,29 @@ class PruningPipeline:
         list).  ``rules`` names the enabled packs, for per-rule kill
         accounting.
 
-        Accounting (when ``context.metrics`` is set): every pruner gets a
+        Accounting (when ``context.metrics`` is set) is one tally after
+        the loop, derived from the stamped findings: every pruner gets a
         ``prune.killed{pruner=...}`` counter — zero-initialised so stage
         sums stay comparable across runs — plus ``prune.examined`` and
         ``prune.survived`` totals that reconcile with the report's
         candidate counts.  Kills are additionally attributed to the
         finding's rule pack under ``prune.killed{rule=...}``.
 
-        Kill counters and provenance verdicts are both derived from the
-        *same* :class:`~repro.obs.PrunerVerdict` objects each pruner's
-        ``decide`` returns: a short-circuiting pruner cannot make the
-        counter and the audit trail disagree.  Pruners after the first
-        kill are never consulted (pipeline order claims the candidate),
-        so the trail ends at the claiming verdict.
+        The stamp and the provenance verdicts both come from the *same*
+        :class:`~repro.obs.PrunerVerdict` objects each pruner's
+        ``decide`` returns, so the counters and the audit trail cannot
+        disagree.  Pruners after the first kill are never consulted
+        (pipeline order claims the candidate), so the trail ends at the
+        claiming verdict.
         """
         # Imported lazily: repro.rules pulls in repro.core, whose package
         # import reaches back into this module.
         from repro.rules.registry import pack_for_kind
 
-        for pruner in self.pruners:
-            context.count("prune.killed", 0, pruner=pruner.name)
-        for rule in rules or ():
-            context.count("prune.killed", 0, rule=rule)
         out: list[Finding] = []
+        kills_by_rule = dict.fromkeys(rules or (), 0)
         for finding in findings:
             pack = pack_for_kind(finding.candidate.kind)
-            pruned_by: str | None = None
             for pruner in self.pruners:
                 if not pack.allows_pruner(pruner.name):
                     continue
@@ -68,15 +65,24 @@ class PruningPipeline:
                 if context.provenance is not None:
                     context.provenance.add_verdict(finding.key, verdict)
                 if verdict.pruned:
-                    pruned_by = verdict.pruner
+                    finding = replace(finding, pruned_by=verdict.pruner)
+                    kills_by_rule[pack.name] = kills_by_rule.get(pack.name, 0) + 1
                     break
-            context.count("prune.examined")
-            if pruned_by is not None:
-                context.count("prune.killed", 1, pruner=pruned_by)
-                context.count("prune.killed", 1, rule=pack.name)
-            else:
-                context.count("prune.survived")
-            out.append(replace(finding, pruned_by=pruned_by))
+            out.append(finding)
+        metrics = context.metrics
+        if metrics is not None:
+            kills = self.stats(out)
+            for name, count in kills.items():
+                metrics.inc("prune.killed", count, pruner=name)
+            for rule, count in kills_by_rule.items():
+                metrics.inc("prune.killed", count, rule=rule)
+            survived = len(out) - sum(kills.values())
+            # Only the kill counters are zero-initialised; a zero total
+            # records no counter.
+            if out:
+                metrics.inc("prune.examined", len(out))
+            if survived:
+                metrics.inc("prune.survived", survived)
         return out
 
     def stats(self, findings: list[Finding]) -> dict[str, int]:

@@ -69,13 +69,6 @@ class Report:
             if finding.authorship is not None and finding.authorship.cross_scope
         ]
 
-    def non_cross_scope(self) -> list[Finding]:
-        return [
-            finding
-            for finding in self.findings
-            if finding.authorship is None or not finding.authorship.cross_scope
-        ]
-
     # -- provenance / explain --------------------------------------------
 
     def explain(self, fragment: str | None = None) -> str:

@@ -71,6 +71,3 @@ class StoreError(ReproError, ValueError):
 class CorpusError(ReproError):
     """Errors from the synthetic corpus generator."""
 
-
-class EvaluationError(ReproError):
-    """Errors from the evaluation harness."""

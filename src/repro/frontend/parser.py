@@ -711,7 +711,10 @@ def parse_source(
     config: set[str] | None = None,
 ) -> tuple[ast.TranslationUnit, PreprocessedSource]:
     """Preprocess and parse ``text``; returns the AST and the preprocessed
-    source (whose conditional regions feed the config-dependency pruner)."""
+    source.  This is the one preprocessing pass a module gets:
+    :func:`repro.ir.builder.lower_source` keeps its conditional regions on
+    the ``Module``, and the engine ships them in the module's
+    ``ModuleContribution.regions`` to the config-dependency pruner."""
     preprocessed = preprocess(text, filename=filename, config=config)
     tokens = tokenize(preprocessed.text, filename=filename)
     parser = Parser(tokens, filename=filename)

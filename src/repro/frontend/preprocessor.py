@@ -39,9 +39,6 @@ class CondRegion:
     guard: str
     enabled: bool
 
-    def contains(self, line: int) -> bool:
-        return self.start <= line <= self.end
-
 
 @dataclass
 class PreprocessedSource:
@@ -51,18 +48,6 @@ class PreprocessedSource:
     raw: str
     regions: list[CondRegion] = field(default_factory=list)
     defines: dict[str, str] = field(default_factory=dict)
-
-    def region_at(self, line: int) -> CondRegion | None:
-        """Return the innermost conditional region containing ``line``."""
-        best: CondRegion | None = None
-        for region in self.regions:
-            if region.contains(line):
-                if best is None or (region.start >= best.start and region.end <= best.end):
-                    best = region
-        return best
-
-    def disabled_regions(self) -> list[CondRegion]:
-        return [r for r in self.regions if not r.enabled]
 
 
 @dataclass

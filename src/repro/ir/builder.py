@@ -626,6 +626,9 @@ def lower_unit(unit: ast.TranslationUnit) -> Module:
 
 
 def lower_source(text: str, filename: str = "<memory>", config: set[str] | None = None) -> Module:
-    """Parse and lower MiniC source text in one step."""
-    unit, _ = parse_source(text, filename=filename, config=config)
-    return lower_unit(unit)
+    """Parse and lower MiniC source text in one step.  The module keeps
+    the ``#if`` regions its one preprocessing pass found."""
+    unit, preprocessed = parse_source(text, filename=filename, config=config)
+    module = lower_unit(unit)
+    module.regions = preprocessed.regions
+    return module

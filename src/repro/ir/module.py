@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.frontend import ast_nodes as ast
+from repro.frontend.preprocessor import CondRegion
 from repro.ir.instructions import Br, Instruction, Ret, Store
 from repro.ir.values import Temp
 
@@ -127,8 +128,9 @@ class Function:
 @dataclass
 class Module:
     """All IR for one source file, plus the AST unit the later phases
-    need (for prototypes/struct layouts).  The source text itself lives
-    in :class:`repro.core.project.Project`."""
+    need (for prototypes/struct layouts) and the raw text's ``#if``
+    regions (for the config-dependency pruner).  The source text itself
+    lives in :class:`repro.core.project.Project`."""
 
     filename: str
     functions: dict[str, Function] = field(default_factory=dict)
@@ -136,6 +138,9 @@ class Module:
     # Names of all functions known in this unit (defined or prototyped),
     # with their return types; externals default to returning int.
     signatures: dict[str, str] = field(default_factory=dict)
+    # Every conditional arm of the raw text, enabled or not (what
+    # :func:`repro.ir.builder.lower_source`'s preprocessing pass found).
+    regions: list[CondRegion] = field(default_factory=list)
 
     def function(self, name: str) -> Function | None:
         return self.functions.get(name)

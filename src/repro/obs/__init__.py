@@ -50,6 +50,7 @@ from typing import Iterator
 from repro.obs.clock import monotonic, wall_clock
 from repro.obs.journal import Event, EventJournal
 from repro.obs.metrics import (
+    DAEMON_WINDOW,
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     base_name,
@@ -158,6 +159,7 @@ def metrics() -> MetricsRegistry | None:
 
 
 __all__ = [
+    "DAEMON_WINDOW",
     "DEFAULT_SLOS",
     "Event",
     "EventJournal",

@@ -19,17 +19,27 @@ Conventions
   in ``_seconds``.
 * Merge semantics: counters add, histograms concatenate (snapshots sort
   values, so merge order never shows), gauges keep the maximum.
+* A long-lived daemon's registry is built with ``window=DAEMON_WINDOW``:
+  each histogram keeps its latest observations only, so memory and the
+  ``stats`` reply stay bounded, while its count and sum stay lifetime
+  totals (a snapshot carries them under ``totals`` once values dropped
+  out).  Per-run registries keep every observation.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Iterable, Mapping
 
 # Bump whenever a metric is renamed/removed or its meaning changes:
 # metric snapshots and the ``--stats-out`` JSONL run records carry this so
 # readers know when the schema drifted.
 METRICS_SCHEMA_VERSION = 2
+
+#: Observations a daemon's histograms keep: the window their min, max and
+#: percentiles cover.
+DAEMON_WINDOW = 512
 
 
 def metric_key(name: str, labels: Mapping[str, object] | None = None) -> str:
@@ -64,13 +74,16 @@ def nearest_rank(ordered: list[float], fraction: float) -> float:
     return ordered[max(0, min(count - 1, int(fraction * count + 0.5) - 1))]
 
 
-def summarize(values: Iterable[float]) -> dict[str, float]:
-    """count/sum/min/max/mean plus nearest-rank p50/p90/p99."""
+def summarize(
+    values: Iterable[float], totals: tuple[int, float] | None = None
+) -> dict[str, float]:
+    """count/sum/min/max/mean plus nearest-rank p50/p90/p99.  ``totals``
+    is a windowed histogram's lifetime (count, sum), which count, sum and
+    mean then report; min, max and percentiles cover ``values``."""
     ordered = sorted(values)
     if not ordered:
         return {"count": 0, "sum": 0.0}
-    count = len(ordered)
-    total = sum(ordered)
+    count, total = totals if totals is not None else (len(ordered), sum(ordered))
     return {
         "count": count,
         "sum": total,
@@ -86,25 +99,32 @@ def summarize(values: Iterable[float]) -> dict[str, float]:
 def summarize_snapshot(snapshot: dict) -> dict:
     """A compact form for JSONL/BENCH files: histograms collapse to their
     summary statistics instead of raw value lists."""
+    totals = snapshot.get("totals", {})
     return {
         "schema": snapshot.get("schema", METRICS_SCHEMA_VERSION),
         "counters": dict(snapshot.get("counters", {})),
         "gauges": dict(snapshot.get("gauges", {})),
         "histograms": {
-            key: summarize(values)
+            key: summarize(values, totals.get(key))
             for key, values in snapshot.get("histograms", {}).items()
         },
     }
 
 
 class MetricsRegistry:
-    """Thread-safe collection of counters, gauges and histograms."""
+    """Thread-safe collection of counters, gauges and histograms.
 
-    def __init__(self) -> None:
+    ``window`` bounds each histogram to its latest ``window`` values
+    (see :data:`DAEMON_WINDOW`); ``None`` keeps every observation."""
+
+    def __init__(self, window: int | None = None) -> None:
         self._lock = threading.Lock()
+        self._window = window
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, list[float]] = {}
+        self._histograms: dict[str, deque[float]] = {}
+        # Lifetime [count, sum] per histogram, windowed or not.
+        self._totals: dict[str, list[float]] = {}
 
     # -- recording -------------------------------------------------------
 
@@ -121,7 +141,17 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, **labels) -> None:
         key = metric_key(name, labels)
         with self._lock:
-            self._histograms.setdefault(key, []).append(value)
+            self._extend(key, (value,), 1, value)
+
+    def _extend(self, key: str, values: Iterable[float], count: int, total: float) -> None:
+        retained = self._histograms.get(key)
+        if retained is None:
+            retained = self._histograms[key] = deque(maxlen=self._window)
+            self._totals[key] = [0, 0]
+        retained.extend(values)
+        totals = self._totals[key]
+        totals[0] += count
+        totals[1] += total
 
     # -- reading ---------------------------------------------------------
 
@@ -150,9 +180,11 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """A plain, picklable, order-independent dict of everything
-        recorded so far (histogram values sorted)."""
+        recorded so far (histogram values sorted).  Histograms whose
+        window dropped values add their lifetime [count, sum] under
+        ``totals``."""
         with self._lock:
-            return {
+            snapshot = {
                 "schema": METRICS_SCHEMA_VERSION,
                 "counters": dict(sorted(self._counters.items())),
                 "gauges": dict(sorted(self._gauges.items())),
@@ -161,9 +193,18 @@ class MetricsRegistry:
                     for key, values in sorted(self._histograms.items())
                 },
             }
+            totals = {
+                key: list(self._totals[key])
+                for key, values in sorted(self._histograms.items())
+                if self._totals[key][0] > len(values)
+            }
+            if totals:
+                snapshot["totals"] = totals
+            return snapshot
 
     def merge(self, snapshot: dict) -> None:
         """Fold a snapshot (from a worker-local registry) into this one."""
+        totals = snapshot.get("totals", {})
         with self._lock:
             for key, value in snapshot.get("counters", {}).items():
                 self._counters[key] = self._counters.get(key, 0) + value
@@ -171,7 +212,8 @@ class MetricsRegistry:
                 current = self._gauges.get(key)
                 self._gauges[key] = value if current is None else max(current, value)
             for key, values in snapshot.get("histograms", {}).items():
-                self._histograms.setdefault(key, []).extend(values)
+                count, total = totals.get(key, (len(values), sum(values)))
+                self._extend(key, values, count, total)
 
     @classmethod
     def merged(cls, snapshots: Iterable[dict]) -> "MetricsRegistry":

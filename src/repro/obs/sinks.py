@@ -83,10 +83,11 @@ def to_prometheus(snapshot: dict) -> str:
         flat, labels = _prometheus_name(key)
         header(flat, "gauge")
         lines.append(f"{flat}{labels} {value}")
+    totals = snapshot.get("totals", {})
     for key, values in snapshot.get("histograms", {}).items():
         flat, labels = _prometheus_name(key)
         header(flat, "summary")
-        stats = values if isinstance(values, dict) else summarize(values)
+        stats = values if isinstance(values, dict) else summarize(values, totals.get(key))
         lines.append(f"{flat}_count{labels} {stats.get('count', 0)}")
         lines.append(f"{flat}_sum{labels} {stats.get('sum', 0.0)}")
         for quantile in ("p50", "p90", "p99"):

@@ -126,15 +126,6 @@ class TraceStore:
         with self._lock:
             return self._by_request.get(request_id)
 
-    def get_by_trace_id(self, trace_id: str) -> TraceRecord | None:
-        """Newest record carrying this trace id (a client may reuse one
-        trace id across several requests; the latest wins)."""
-        with self._lock:
-            for record in reversed(self._by_request.values()):
-                if record.trace_id == trace_id:
-                    return record
-        return None
-
     def records_by_trace_id(self, trace_id: str) -> list[TraceRecord]:
         """*Every* retained record carrying this trace id, oldest first.
 

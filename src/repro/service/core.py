@@ -120,7 +120,7 @@ class AnalysisService:
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.metrics = obs.MetricsRegistry()
+        self.metrics = obs.MetricsRegistry(window=obs.DAEMON_WINDOW)
         self.journal = EventJournal(sink_path=self.config.journal_path)
         # Tail-retained: slow and errored traces are pinned in the ring.
         self.traces = TraceStore()

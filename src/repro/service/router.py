@@ -60,6 +60,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.obs import (
+    DAEMON_WINDOW,
     EventJournal,
     MetricsRegistry,
     TraceRecord,
@@ -179,7 +180,7 @@ class Router:
     def __init__(self, config: RouterConfig | None = None):
         self.config = config or RouterConfig()
         self.journal = EventJournal(sink_path=self.config.journal_path)
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(window=DAEMON_WINDOW)
         self.pool = WorkerPool(
             count=self.config.workers,
             spec=self.config.spec,

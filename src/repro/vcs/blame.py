@@ -41,13 +41,6 @@ class BlameIndex:
             self._cache[path] = blame(self.repo, path, self.rev)
         return self._cache[path]
 
-    def author_of(self, path: str, line: int) -> Author | None:
-        """Author of the 1-based ``line`` of ``path`` (None if out of range)."""
-        entries = self.file_blame(path)
-        if 1 <= line <= len(entries):
-            return entries[line - 1].author
-        return None
-
     def line_info(self, path: str, line: int) -> LineBlame | None:
         entries = self.file_blame(path)
         if 1 <= line <= len(entries):

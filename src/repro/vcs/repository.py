@@ -261,12 +261,6 @@ class Repository:
             indices = indices[: bisect_right(indices, self.rev_index(until_rev))]
         return [self.commits[i] for i in indices]
 
-    def creating_commit(self, path: str) -> Commit:
-        log = self.file_log(path)
-        if not log:
-            raise VcsError(f"{path} never committed")
-        return log[0]
-
     def file_stats(self, path: str, author: Author, until_rev: int | str | None = None) -> FileStats:
         """FA/DL/AC for (author, file) — the DOK model inputs."""
         log = self.file_log(path, until_rev)

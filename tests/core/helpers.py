@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from repro.core.detector import detect_module
 from repro.core.project import Project
+from repro.engine import AnalysisEngine
 from repro.ir.builder import lower_source
 from repro.vcs.objects import Author
 from repro.vcs.repository import Repository
@@ -38,3 +40,21 @@ def project_from_repo(repo, config=None):
 
 def project_from_sources(sources, config=None):
     return Project.from_sources(sources, build_config=config)
+
+
+def analyzed(project, paths=None):
+    """``project`` after one uncached engine run over ``paths`` (every
+    module when omitted): the run installs each module's contribution,
+    which the index, function locations and ``#if`` regions are read from."""
+    AnalysisEngine(cache=None).run(project, paths=paths)
+    return project
+
+
+def candidates_for(sources, config=None):
+    """An analysed project over ``sources`` and its unused-definition
+    candidates, in sorted path order."""
+    project = analyzed(project_from_sources(sources, config=config))
+    candidates = []
+    for path in sorted(project.sources):
+        candidates.extend(detect_module(project.module(path)))
+    return project, candidates

@@ -5,7 +5,7 @@ from repro.core.project import Project
 from repro.corpus import generate_app
 
 from tests.core.callgraph_reference import build_call_graph
-from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
+from tests.core.helpers import AUTHOR1, AUTHOR2, analyzed, build_multifile_history
 
 SOURCES = {
     "lib.c": (
@@ -21,7 +21,7 @@ SOURCES = {
 
 
 def graph_for(sources=None):
-    project = Project.from_sources(sources or SOURCES)
+    project = analyzed(Project.from_sources(sources or SOURCES))
     return build_call_graph(project)
 
 

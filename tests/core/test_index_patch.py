@@ -21,6 +21,8 @@ from repro.core.project import IndexChanges, Project, ProjectIndex
 from repro.core.valuecheck import ValueCheckConfig
 from repro.corpus import generate_app
 
+from tests.core.helpers import analyzed
+
 
 @pytest.fixture(scope="module")
 def app():
@@ -143,7 +145,7 @@ def test_replayed_commits_keep_the_patched_index_equal_to_a_fresh_build(app, mon
 
 def test_a_shared_name_goes_to_the_last_path_and_back():
     define = "int f(int x)\n{{\n    return x + {};\n}}\n"
-    project = Project.from_sources({"m.c": define.format(1)})
+    project = analyzed(Project.from_sources({"m.c": define.format(1)}))
     assert project.index.location("f").file == "m.c"
     for path, text, owner in [
         ("a.c", define.format(2), "m.c"),
@@ -153,6 +155,7 @@ def test_a_shared_name_goes_to_the_last_path_and_back():
         ("a.c", None, None),
     ]:
         project.set_source(path, text)
+        analyzed(project, paths=[path])
         location = project.index.location("f")
         assert (location.file if location else None) == owner
         assert project.index == project._build_index()

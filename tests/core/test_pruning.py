@@ -1,6 +1,5 @@
 """Unit tests for the four pruning strategies and the pipeline."""
 
-from repro.core.detector import detect_module
 from repro.core.findings import CandidateKind, Finding
 from repro.core.pruning import (
     ConfigDependencyPruner,
@@ -11,16 +10,7 @@ from repro.core.pruning import (
     default_pipeline,
 )
 
-from tests.core.helpers import module_of, project_from_sources
-
-
-def candidates_for(sources, config=None):
-    project = project_from_sources(sources, config=config)
-    out = []
-    for path in sorted(project.sources):
-        module = project.module(path)
-        out.extend(detect_module(module))
-    return project, out
+from tests.core.helpers import candidates_for
 
 
 def context_for(project):

@@ -9,23 +9,14 @@ edges."""
 
 from __future__ import annotations
 
-from repro.core.detector import detect_module
 from repro.core.findings import CandidateKind, Finding
 from repro.core.pruning import PeerDefinitionPruner, PruneContext, default_pipeline
 from repro.obs import MetricsRegistry
 from repro.obs.sinks import prune_kills
 
-from tests.core.helpers import project_from_sources
+from tests.core.helpers import candidates_for
 
 ALL_PRUNERS = ("config_dependency", "cursor", "unused_hints", "peer_definition")
-
-
-def candidates_for(sources):
-    project = project_from_sources(sources)
-    out = []
-    for path in sorted(project.sources):
-        out.extend(detect_module(project.module(path)))
-    return project, out
 
 
 def metered_context(project):
@@ -114,7 +105,6 @@ class TestPerPrunerKillCounters:
     def test_context_helpers_noop_without_metrics(self):
         project, _ = candidates_for({"t.c": "void f(void)\n{\n}\n"})
         context = PruneContext(project=project)
-        context.count("prune.examined")
         context.observe("prune.peer_sites", 3, shape="return")
 
 

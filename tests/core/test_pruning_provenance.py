@@ -15,14 +15,13 @@ Three invariants:
 
 from __future__ import annotations
 
-from repro.core.detector import detect_module
 from repro.core.findings import CandidateKind, Finding
 from repro.core.pruning import PeerDefinitionPruner, PruneContext, default_pipeline
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.obs import MetricsRegistry, ProvenanceLog
 from repro.obs.sinks import prune_kills
 
-from tests.core.helpers import project_from_sources
+from tests.core.helpers import candidates_for, project_from_sources
 
 
 def _callers(unused, used=0):
@@ -37,14 +36,6 @@ def _callers(unused, used=0):
             "int log_msg(int level);\n" f"void use{index}(void)\n{{\n{body}}}\n"
         )
     return sources
-
-
-def candidates_for(sources):
-    project = project_from_sources(sources)
-    out = []
-    for path in sorted(project.sources):
-        out.extend(detect_module(project.module(path)))
-    return project, out
 
 
 class TestPeerEvidenceMatchesCountedSites:

@@ -100,9 +100,6 @@ class TestReport:
     def test_cross_scope_includes_pruned(self):
         assert len(self.make_report().cross_scope()) == 3
 
-    def test_non_cross_scope(self):
-        assert [f.candidate.var for f in self.make_report().non_cross_scope()] == ["w"]
-
     def test_counts(self):
         counts = self.make_report().counts()
         assert counts == {"candidates": 4, "cross_scope": 3, "pruned": 1, "reported": 2}

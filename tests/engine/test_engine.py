@@ -16,9 +16,10 @@ from repro.engine import (
     ResultCache,
     make_executor,
 )
+from repro.errors import ReproError
 from repro.pointer.andersen import analyze_module
 
-from tests.core.helpers import AUTHOR1, AUTHOR2, build_multifile_history
+from tests.core.helpers import AUTHOR1, AUTHOR2, analyzed, build_multifile_history
 
 SOURCES = {
     "lib.c": "int helper(int x)\n{\n    if (x) { return 1; }\n    return 0;\n}\n",
@@ -145,32 +146,36 @@ class TestModuleCache:
 
 class TestInvalidation:
     def test_invalidate_evicts_exactly_touched_modules(self):
-        project = Project.from_sources(dict(SOURCES))
-        _ = project.index
-        assert project.analyzed_paths() == set(SOURCES)
+        project = analyzed(Project.from_sources(dict(SOURCES)))
+        kept = {path: project.contribution(path) for path in SOURCES if path != "app.c"}
         project.invalidate({"app.c"})
-        assert project.analyzed_paths() == set(SOURCES) - {"app.c"}
-        _ = project.index
-        assert project.analyzed_paths() == set(SOURCES)
+        with pytest.raises(ReproError):
+            project.contribution("app.c")
+        assert all(project.contribution(path) is kept[path] for path in kept)
+        analyzed(project, paths=["app.c"])
+        assert project.index == project._build_index()
 
     def test_invalidate_all(self):
-        project = Project.from_sources(dict(SOURCES))
+        project = analyzed(Project.from_sources(dict(SOURCES)))
         _ = project.index
         project.invalidate()
-        assert project.analyzed_paths() == frozenset()
+        for path in SOURCES:
+            with pytest.raises(ReproError):
+                project.contribution(path)
 
 
 class TestRevKeyedCaches:
     def test_resolver_reused_per_rev(self):
         repo = build_multifile_history([(AUTHOR1, dict(SOURCES))])
-        project = Project.from_repository(repo)
+        project = analyzed(Project.from_repository(repo))
         assert project.resolver(None) is project.resolver(None)
 
     def test_resolver_dropped_on_invalidate(self):
         repo = build_multifile_history([(AUTHOR1, dict(SOURCES))])
-        project = Project.from_repository(repo)
+        project = analyzed(Project.from_repository(repo))
         stale = project.resolver(None)
         project.invalidate({"app.c"})
+        analyzed(project, paths=["app.c"])
         assert project.resolver(None) is not stale
 
     def test_blame_survives_invalidate(self):
@@ -203,8 +208,7 @@ class TestIncrementalReplayCaching:
             ]
         )
         analyzer = IncrementalAnalyzer(Project.from_repository(repo, rev=0), rev=0)
-        warm = set(analyzer.project.analyzed_paths())
-        assert warm == set(SOURCES)
+        warm = {path: analyzer.project.contribution(path) for path in SOURCES}
         before = DEFAULT_CACHE.stats()
         analyzer.replay()
         delta = DEFAULT_CACHE.stats()
@@ -213,7 +217,8 @@ class TestIncrementalReplayCaching:
         assert delta.misses - before.misses == 1
         assert delta.hits - before.hits >= 0
         # Untouched modules kept their warm per-project results too.
-        assert {"lib.c", "other.c"} <= analyzer.project.analyzed_paths()
+        for path in ("lib.c", "other.c"):
+            assert analyzer.project.contribution(path) is warm[path]
 
     def test_reverting_commit_hits_cache(self):
         original = dict(SOURCES)

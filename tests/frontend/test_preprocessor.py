@@ -88,21 +88,15 @@ class TestRegions:
         result = preprocess("#if X\nbody\n#endif", config={"X"})
         assert result.regions[0].enabled
 
-    def test_region_at_lookup(self):
+    def test_nested_regions_recorded_outer_first(self):
         src = "#if A\n1\n#if B\n3\n#endif\n5\n#endif"
         result = preprocess(src)
-        inner = result.region_at(4)
-        assert inner is not None and inner.guard == "B"
-        outer = result.region_at(2)
-        assert outer is not None and outer.guard == "A"
-        assert result.region_at(7) is None
+        assert [(r.guard, r.start, r.end) for r in result.regions] == [("A", 2, 6), ("B", 4, 4)]
 
-    def test_disabled_regions_helper(self):
+    def test_each_region_records_whether_the_build_enables_it(self):
         src = "#if A\nx\n#endif\n#if B\ny\n#endif"
         result = preprocess(src, config={"A"})
-        disabled = result.disabled_regions()
-        assert len(disabled) == 1
-        assert disabled[0].guard == "B"
+        assert [(r.guard, r.enabled) for r in result.regions] == [("A", True), ("B", False)]
 
 
 class TestDefines:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import threading
 
 from repro.obs import (
+    DAEMON_WINDOW,
     METRICS_SCHEMA_VERSION,
     MetricsRegistry,
     metric_key,
     parse_key,
     summarize,
     summarize_snapshot,
+    to_prometheus,
 )
 from tests.obs.oracles import deterministic_view
 
@@ -98,6 +100,54 @@ class TestSummaries:
         compact = summarize_snapshot(registry.snapshot())
         assert compact["histograms"]["x"]["count"] == 2
         assert compact["histograms"]["x"]["sum"] == 4.0
+
+
+class TestWindowedHistograms:
+    """A daemon's registry keeps its latest observations; count and sum
+    stay lifetime totals."""
+
+    def _prometheus(self, registry: MetricsRegistry) -> tuple[int, float]:
+        lines = dict(
+            line.split(" ") for line in to_prometheus(registry.snapshot()).splitlines()
+            if not line.startswith("#")
+        )
+        return int(lines["lat_seconds_count"]), float(lines["lat_seconds_sum"])
+
+    def test_window_bounds_the_values_and_keeps_lifetime_totals(self):
+        registry = MetricsRegistry(window=DAEMON_WINDOW)
+        observed = [0.001 * (index % 97 + 1) for index in range(3 * DAEMON_WINDOW)]
+        last = (0, 0.0)
+        for value in observed:
+            registry.observe("lat_seconds", value)
+            count, total = self._prometheus(registry)
+            assert count >= last[0] and total >= last[1]
+            last = (count, total)
+        assert last[0] == len(observed)
+        assert abs(last[1] - sum(observed)) < 1e-9
+        snapshot = registry.snapshot()
+        assert snapshot["histograms"]["lat_seconds"] == sorted(observed[-DAEMON_WINDOW:])
+        stats = summarize_snapshot(snapshot)["histograms"]["lat_seconds"]
+        assert stats["count"] == len(observed)
+        assert stats["max"] == max(observed[-DAEMON_WINDOW:])
+
+    def test_merged_windows_add_their_totals(self):
+        workers = []
+        for _ in range(2):
+            worker = MetricsRegistry(window=DAEMON_WINDOW)
+            for _ in range(DAEMON_WINDOW + 10):
+                worker.observe("lat_seconds", 0.5)
+            workers.append(worker.snapshot())
+        merged = MetricsRegistry.merged(workers).snapshot()
+        assert len(merged["histograms"]["lat_seconds"]) == 2 * DAEMON_WINDOW
+        assert merged["totals"]["lat_seconds"] == [2 * DAEMON_WINDOW + 20, (DAEMON_WINDOW + 10)]
+
+    def test_a_per_run_registry_keeps_every_observation(self):
+        registry = MetricsRegistry()
+        for value in range(3 * DAEMON_WINDOW):
+            registry.observe("andersen.iterations", value)
+        snapshot = registry.snapshot()
+        assert snapshot["histograms"]["andersen.iterations"] == list(range(3 * DAEMON_WINDOW))
+        assert "totals" not in snapshot
 
 
 class TestMergeDeterminism:

@@ -67,14 +67,6 @@ class TestRetention:
         with pytest.raises(ValueError):
             TraceStore(capacity=0)
 
-    def test_lookup_by_trace_id_prefers_newest(self):
-        store = TraceStore()
-        store.put(_record(1, "shared"))
-        store.put(_record(2, "shared"))
-        found = store.get_by_trace_id("shared")
-        assert found is not None and found.request_id == 2
-        assert store.get_by_trace_id("missing") is None
-
     def test_records_by_trace_id_returns_every_fragment_oldest_first(self):
         # A migration replay and the forwarded request itself both land
         # under one trace id; the stitcher wants all of them.

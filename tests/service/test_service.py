@@ -14,6 +14,7 @@ import pytest
 from repro.core.project import Project
 from repro.core.pruning import default_pipeline
 from repro.core.valuecheck import ValueCheckConfig
+from repro.obs import DAEMON_WINDOW
 from repro.service import AnalysisService, ServiceConfig
 from repro.service.core import RETRY_AFTER
 from repro.service.sessions import SessionManager
@@ -290,6 +291,23 @@ class TestServiceMetrics:
             histograms = snapshot["histograms"]
             assert any(k.startswith("service.request_seconds") for k in histograms)
             assert any(k.startswith("service.queue.wait_seconds") for k in histograms)
+        finally:
+            service.shutdown()
+
+    def test_latency_histograms_keep_a_window_of_observations(self):
+        service = AnalysisService(ServiceConfig()).start()
+        try:
+            open_simple(service)
+            requests = DAEMON_WINDOW + 40
+            for index in range(requests):
+                request = {"id": index + 1, "type": "analyze", "params": {"project_id": "p"}}
+                assert service.submit(request)["ok"]
+            reply = service.submit({"id": 0, "type": "stats", "params": {"raw_metrics": True}})
+            snapshot = reply["result"]["metrics_snapshot"]
+            key = "service.request_seconds{type=analyze}"
+            assert len(snapshot["histograms"][key]) == DAEMON_WINDOW
+            assert snapshot["totals"][key][0] == requests
+            assert reply["result"]["metrics"]["histograms"][key]["count"] == requests
         finally:
             service.shutdown()
 

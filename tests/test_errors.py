@@ -19,7 +19,6 @@ class TestHierarchy:
             "AnalysisUnsupported",
             "VcsError",
             "CorpusError",
-            "EvaluationError",
         ):
             assert issubclass(getattr(errors, name), errors.ReproError), name
 

@@ -91,10 +91,6 @@ class TestLogsAndStats:
         log = repo.file_log("main.c")
         assert [commit.author.name for commit in log] == ["alice", "bob"]
 
-    def test_creating_commit(self):
-        repo = make_repo()
-        assert repo.creating_commit("util.c").author == ALICE
-
     def test_file_stats_creator(self):
         repo = make_repo()
         stats = repo.file_stats("main.c", ALICE)
@@ -165,15 +161,15 @@ class TestBlame:
     def test_blame_index_caches_and_answers(self):
         repo = make_repo()
         index = BlameIndex(repo)
-        assert index.author_of("main.c", 2) == BOB
-        assert index.author_of("main.c", 99) is None
+        assert index.line_info("main.c", 2).author == BOB
+        assert index.line_info("main.c", 99) is None
         info = index.line_info("main.c", 1)
         assert info is not None and info.commit_id == repo.commits[0].commit_id
 
     def test_blame_at_old_revision(self):
         repo = make_repo()
         index = BlameIndex(repo, rev=0)
-        assert index.author_of("main.c", 2) == ALICE
+        assert index.line_info("main.c", 2).author == ALICE
 
     def test_multi_round_growth(self):
         repo = Repository()
