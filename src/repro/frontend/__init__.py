@@ -13,15 +13,12 @@ Typical usage::
     unit = parse_source(text, filename="bitmap.c", config={"USE_ICMP"})
 """
 
-from repro.frontend.source import SourceFile, Span
 from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.preprocessor import CondRegion, PreprocessedSource, preprocess
 from repro.frontend.parser import Parser, parse_source
 from repro.frontend import ast_nodes as ast
 
 __all__ = [
-    "SourceFile",
-    "Span",
     "Token",
     "TokenKind",
     "tokenize",

@@ -562,6 +562,7 @@ class AnalysisService:
             "has_repo": repo is not None,
             "rev": session.analyzer.current_rev if repo is not None else None,
             "warm_seconds": round(monotonic() - warm_started, 6),
+            "restored": session.restored,
             "evicted": evicted,
         }
 

@@ -23,10 +23,19 @@ approximate memory cap (``max_total_loc``, lines of warm source) is
 exceeded.  Requests against an evicted project get an
 ``unknown_project`` error and must re-open — eviction is never silent
 state corruption.
+
+A re-open replays the same recipe, so its first report would equal the
+one the evicted session's open built.  The manager therefore parks that
+report on eviction, filed under the project id with the content key of
+the tree at open (:func:`content_key`), and a re-open whose key matches
+starts from it: no full analysis runs.  The parked set is an LRU of its
+own, bounded by the same two caps; a session's findings store is not
+parked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -37,6 +46,7 @@ from repro.core.incremental import IncrementalAnalyzer, IncrementalResult
 from repro.core.project import Project
 from repro.core.report import Report
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig, rank
+from repro.engine.cache import ANALYSIS_VERSION
 from repro.obs import EventJournal, MetricsRegistry
 from repro.obs.clock import monotonic
 from repro.store import BaselineEntry, BaselineFile, FindingsStore, evaluate_gate
@@ -69,7 +79,16 @@ class ProjectSession:
     # analyze_diff, so `baseline`/`diff_findings`/`gate` requests are
     # answered from warm state without re-analysing.
     store: FindingsStore = field(default_factory=FindingsStore.in_memory)
+    #: The content key of the tree at open (see :func:`content_key`) and
+    #: that tree's LOC, set by :meth:`SessionManager.open`.
+    key: tuple | None = None
+    key_loc: int = 0
+    #: True when the open restored a parked report instead of analysing.
+    restored: bool = False
     _last_report: Report | None = None
+    # The report the open built (the first full analysis, or the parked
+    # report it restored): what the manager parks on eviction.
+    _opened: Report | None = None
     # The current report's findings in cold detection order (None until
     # a warm step needs them after a full analysis).
     _ordered: list[Finding] | None = None
@@ -104,6 +123,8 @@ class ProjectSession:
             )
             self._last_report = report
             self._ordered = None
+            if not self.diff_count:
+                self._opened = report
             self.analyze_count += 1
             self.last_used = monotonic()
             return report
@@ -331,11 +352,36 @@ class ProjectSession:
             "diff_count": self.diff_count,
             "idle_seconds": round(monotonic() - self.last_used, 3),
             "reopenable": self.open_params is not None,
+            "restored": self.restored,
         }
 
 
+def content_key(session: ProjectSession) -> tuple:
+    """What the report of a session's tree at open is a function of
+    besides its project id: the analysis version, tree, revision and
+    repository content, build config, and the config fields that shape
+    a report (not the engine's scheduling).  Equal keys give equal
+    reports."""
+    project = session.project
+    tree = hashlib.sha256()
+    for path, text in sorted(project.sources.items()):
+        tree.update(path.encode() + b"\x00" + hashlib.sha256(text.encode()).digest())
+    history = project.repo.to_dict()["digest"] if project.repo is not None else None
+    shaping = replace(session.config, executor="serial", workers=None, module_cache=True)
+    return (
+        ANALYSIS_VERSION,
+        tree.hexdigest(),
+        session._rev_for_analysis(),
+        history,
+        frozenset(project.build_config),
+        shaping,
+    )
+
+
 class SessionManager:
-    """Thread-safe LRU of warm sessions with entry and memory caps."""
+    """Thread-safe LRU of warm sessions with entry and memory caps, plus
+    the reports of evicted sessions' opens (the parked set) under the
+    same caps."""
 
     def __init__(
         self,
@@ -352,6 +398,11 @@ class SessionManager:
         self.journal = journal
         self._lock = threading.Lock()
         self._sessions: OrderedDict[str, ProjectSession] = OrderedDict()
+        # project id -> (content key, report, LOC of its tree), least
+        # recently parked first: a project's re-open replays its latest
+        # recipe, so one parked report per project is enough.
+        self._parked: OrderedDict[str, tuple[tuple, Report, int]] = OrderedDict()
+        self._parked_loc = 0
 
     def open(
         self,
@@ -362,21 +413,31 @@ class SessionManager:
         open_params: dict | None = None,
     ) -> tuple[ProjectSession, list[str]]:
         """Create (or replace) a warm session; returns it plus the ids of
-        any sessions evicted to make room."""
+        any sessions evicted to make room.  A session whose project's
+        parked report has its content key starts from that report."""
         session = ProjectSession.open(
             project_id, project, config, rev=rev, open_params=open_params
         )
+        session.key = content_key(session)
+        session.key_loc = session.loc()
         with self._lock:
+            parked = self._unpark_locked(project_id)
+            if parked is not None and parked[0] == session.key:
+                session._last_report = session._opened = parked[1]
+                session.restored = True
             self._sessions.pop(project_id, None)
             self._sessions[project_id] = session
             evicted = self._evict_locked()
             self._record_gauges_locked()
+        if session.restored and self.metrics is not None:
+            self.metrics.inc("service.sessions.restored")
         if self.journal is not None:
             self.journal.emit(
                 "session.opened",
                 project_id=project_id,
                 modules=len(project.sources),
-                loc=session.loc(),
+                loc=session.key_loc,
+                restored=session.restored,
             )
         return session, evicted
 
@@ -388,15 +449,17 @@ class SessionManager:
             return session
 
     def close(self, project_id: str) -> bool:
+        """Drop a session and any report parked for its project."""
         with self._lock:
             found = self._sessions.pop(project_id, None) is not None
+            self._unpark_locked(project_id)
             self._record_gauges_locked()
             return found
 
     def _evict_locked(self) -> list[str]:
-        evicted: list[tuple[str, str]] = []  # (project_id, reason)
+        evicted: list[tuple[ProjectSession, str]] = []  # (session, reason)
         while len(self._sessions) > self.max_sessions:
-            evicted.append((self._sessions.popitem(last=False)[0], "max_sessions"))
+            evicted.append((self._sessions.popitem(last=False)[1], "max_sessions"))
         if self.max_total_loc is not None:
             # Keep at least the most recent session even if it alone
             # exceeds the cap (the daemon must be able to serve it).
@@ -404,19 +467,44 @@ class SessionManager:
                 len(self._sessions) > 1
                 and sum(s.loc() for s in self._sessions.values()) > self.max_total_loc
             ):
-                evicted.append((self._sessions.popitem(last=False)[0], "max_total_loc"))
+                evicted.append((self._sessions.popitem(last=False)[1], "max_total_loc"))
+        for session, _ in evicted:
+            self._park_locked(session)
         if evicted and self.metrics is not None:
             self.metrics.inc("service.sessions.evicted", len(evicted))
         if self.journal is not None:
-            for project_id, reason in evicted:
+            for session, reason in evicted:
                 self.journal.emit(
-                    "session.evicted", project_id=project_id, reason=reason
+                    "session.evicted", project_id=session.project_id, reason=reason
                 )
-        return [project_id for project_id, _ in evicted]
+        return [session.project_id for session, _ in evicted]
+
+    def _park_locked(self, session: ProjectSession) -> None:
+        """Park the report the session's open built (if it built one yet),
+        then drop the least recently parked reports over either cap."""
+        if session._opened is None:
+            return
+        # Opening an id took its parked report out, so a live session's
+        # id has none to replace.
+        self._parked[session.project_id] = (session.key, session._opened, session.key_loc)
+        self._parked_loc += session.key_loc
+        while len(self._parked) > self.max_sessions or (
+            self.max_total_loc is not None and self._parked_loc > self.max_total_loc
+        ):
+            self._parked_loc -= self._parked.popitem(last=False)[1][2]
+
+    def _unpark_locked(self, project_id: str) -> tuple | None:
+        """Take a project's parked (key, report, LOC) out of the set."""
+        parked = self._parked.pop(project_id, None)
+        if parked is not None:
+            self._parked_loc -= parked[2]
+        return parked
 
     def _record_gauges_locked(self) -> None:
         if self.metrics is not None:
             self.metrics.set_gauge("service.sessions.open", len(self._sessions))
+            self.metrics.set_gauge("service.sessions.parked", len(self._parked))
+            self.metrics.set_gauge("service.sessions.parked_loc", self._parked_loc)
 
     def __len__(self) -> int:
         with self._lock:

@@ -106,17 +106,31 @@ def structural_context(
     them, so inserting any number of them (above, below, or in between)
     leaves the context unchanged.
     """
-    return _context_window(_normalized_lines(source_text), line, radius)
+    return _context_window(_Lines(source_text), line, radius)
 
 
-def _normalized_lines(text: str | None) -> list[str]:
-    """Every line of one file, normalized (none when there is no text)."""
-    if text is None:
-        return []
-    return [normalize_line(line) for line in text.split("\n")]
+class _Lines:
+    """One file's lines, each normalized the first time a context window
+    reads it (a window reads a few lines around each finding, not the
+    whole file)."""
+
+    __slots__ = ("_raw", "_normalized")
+
+    def __init__(self, text: str | None):
+        self._raw = text.split("\n") if text is not None else []
+        self._normalized: list[str | None] = [None] * len(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __getitem__(self, index: int) -> str:
+        normalized = self._normalized[index]
+        if normalized is None:
+            normalized = self._normalized[index] = normalize_line(self._raw[index])
+        return normalized
 
 
-def _context_window(lines: list[str], line: int, radius: int) -> tuple[str, ...]:
+def _context_window(lines: _Lines, line: int, radius: int) -> tuple[str, ...]:
     if not 1 <= line <= len(lines):
         return ()
     context: list[str] = []
@@ -162,14 +176,12 @@ class Fingerprint:
 
 
 def _digest(parts: Iterable[str]) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode())
-        digest.update(b"\x00")
-    return digest.hexdigest()[:_DIGEST_CHARS]
+    """sha256 over every part followed by a NUL byte."""
+    material = "\x00".join(parts) + "\x00"
+    return hashlib.sha256(material.encode()).hexdigest()[:_DIGEST_CHARS]
 
 
-def _primary_material(candidate: "Candidate", lines: list[str]) -> tuple[str, ...]:
+def _primary_material(candidate: "Candidate", lines: _Lines) -> tuple[str, ...]:
     return (
         FINGERPRINT_VERSION,
         candidate.kind.value,
@@ -196,7 +208,7 @@ def fingerprint_candidate(
     """Fingerprint one candidate in isolation (ordinal supplied by the
     caller; use :func:`fingerprint_findings` to get ordinals right
     across a whole report)."""
-    lines = _normalized_lines(source_text)
+    lines = _Lines(source_text)
     return Fingerprint(
         primary=_digest((*_primary_material(candidate, lines), str(ordinal))),
         location=_digest((*_location_material(candidate), str(ordinal))),
@@ -220,13 +232,13 @@ def fingerprint_findings(
     )
     primary_groups: dict[tuple[str, ...], int] = {}
     location_groups: dict[tuple[str, ...], int] = {}
-    # Each file's lines are normalized once per call.
-    files: dict[str, list[str]] = {}
+    # Each file's lines are split once per call.
+    files: dict[str, _Lines] = {}
     out: dict[str, Fingerprint] = {}
     for finding in rows:
         candidate = finding.candidate
         if candidate.file not in files:
-            files[candidate.file] = _normalized_lines(sources.get(candidate.file))
+            files[candidate.file] = _Lines(sources.get(candidate.file))
         p_material = _primary_material(candidate, files[candidate.file])
         l_material = _location_material(candidate)
         p_ordinal = primary_groups.get(p_material, 0)

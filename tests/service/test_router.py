@@ -195,6 +195,38 @@ class TestRouterProtocol:
         (reply,) = [reply for reply in replies if reply.get("id") == 8]
         assert relayed is reply.line
 
+    def test_reopened_session_restores_its_parked_report(self, routed):
+        """An evicted session re-opened through the router answers from the
+        report its open built: the same reply lines, except ``engine``
+        and ``seconds``, which describe the run that built the report."""
+        router, port = routed
+        slot = router.pool.ring.owner("rt-park")
+        # Enough sessions on the same worker to evict "rt-park" (4 slots).
+        crowd = [
+            name
+            for name in (f"rt-crowd-{index}" for index in range(200))
+            if router.pool.ring.owner(name) == slot
+        ][:4]
+
+        def lines(client):
+            analyze = client.request("analyze", {"project_id": "rt-park", "top": 10})
+            explain = client.request("explain", {"project_id": "rt-park"})
+            for reply in (analyze, explain):
+                reply.pop("engine", None)
+                reply.pop("seconds", None)
+            return analyze, explain
+
+        with ServiceClient(port=port) as client:
+            client.open_project(project_id="rt-park", sources=SOURCES)
+            before = lines(client)
+            for name in crowd:
+                client.open_project(project_id=name, sources={f"{name}.c": SOURCES["util.c"]})
+            migrations = router.migrations
+            assert lines(client) == before
+            assert router.migrations == migrations + 1  # the router re-opened it
+            counters = client.request("stats", {})["metrics"]["counters"]
+        assert counters.get("service.sessions.restored", 0) >= 1
+
 
 class TestRouterControlPlane:
     def test_health_carries_shard_map_and_worker_status(self, routed):

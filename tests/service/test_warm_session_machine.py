@@ -7,6 +7,11 @@ cold ``ValueCheck.analyze`` of the session's tree at its revision
 produces: counts, findings, fingerprints and every provenance record.
 A shadow store that records the cold report at each ``baseline`` step
 must give the same ``gate`` verdict as the session's own store.
+
+The session lives in a one-entry :class:`SessionManager`, so opening
+another project evicts it; re-opening its recipe restores the report
+its open built, and the session must equal a cold run of the recipe's
+tree again (with an empty store, as the shadow store then is).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.core.project import Project
 from repro.core.report import Report
 from repro.core.valuecheck import ValueCheck, ValueCheckConfig
 from repro.corpus import generate_app
-from repro.service.sessions import ProjectSession
+from repro.service.sessions import SessionManager
 from repro.store import FindingsStore, evaluate_gate, fingerprint_findings
 
 #: A window of the history where most commits add or retire findings.
@@ -66,15 +71,20 @@ def _findings(report) -> list[tuple]:
 class WarmSession(RuleBasedStateMachine):
     @initialize(rev=st.integers(LOW, HIGH))
     def open(self, rev: int) -> None:
-        self.rev = rev
-        self.tree = _tree_at(rev)
-        self.edited = False
+        self.manager = SessionManager(max_sessions=1)
+        self.opened_at = rev
         self.edits = 0
+        self._open()
+
+    def _open(self) -> None:
+        """Open the recipe: the repository's tree at ``opened_at``."""
+        rev = self.opened_at
         project = Project.from_repository(
             APP.repo, rev=rev, build_config=set(APP.build_config)
         )
-        self.session = ProjectSession.open("warm", project, CONFIG, rev=rev)
+        self.session, _ = self.manager.open("warm", project, CONFIG, rev=rev)
         self.shadow = FindingsStore.in_memory()
+        self._moved_to(rev)
 
     def cold(self) -> Report:
         return _cold(self.rev, self.tree, self.edited)
@@ -112,6 +122,17 @@ class WarmSession(RuleBasedStateMachine):
             text = self.tree[path] = self.tree[path] + dead
         self.session.analyze_diff(changes={path: text})
         self.edited = True
+
+    @rule()
+    def evict_and_reopen(self) -> None:
+        other = Project.from_sources({"other.c": DEAD.format(n=0)}, name="other")
+        _, evicted = self.manager.open(
+            "other", other, ValueCheckConfig(use_authorship=False)
+        )
+        assert evicted == ["warm"]
+        self._open()
+        assert self.session.restored
+        assert self.session.store.entries() == self.shadow.entries() == {}
 
     @rule()
     def baseline(self) -> None:

@@ -186,3 +186,50 @@ class TestDeterminism:
         ) == fingerprint_findings(
             reported(second_report), sources_of(second_project)
         )
+
+
+class TestPinnedDigests:
+    """Fingerprints are stored across runs and releases: the material and
+    its hashing are pinned digest for digest (a change to either must
+    bump ``FINGERPRINT_VERSION``)."""
+
+    SOURCE = "int f(void)\n{\n    int v; // note\n\n    v = 1;   /* set */\n    return 0;\n}\n"
+
+    def _candidate(self, line=5, **kwargs):
+        return Candidate(
+            file="t.c", function="f", var="v", line=line,
+            kind=CandidateKind.DEAD_STORE, **kwargs,
+        )
+
+    def test_candidate_digests(self):
+        assert fingerprint_candidate(self._candidate(), self.SOURCE).as_dict() == {
+            "primary": "5ff19cd67b1ca37b0ffbf818de436d7d",
+            "location": "0c21ad2a3886155fc4bff472d5d1380a",
+        }
+        assert fingerprint_candidate(self._candidate(), self.SOURCE, ordinal=1).as_dict() == {
+            "primary": "ad7d2a491996e2b1365ec60d9d40578b",
+            "location": "4a0f5bb0a6e6b9e1c6f6b04db668bf4b",
+        }
+
+    def test_field_parameter_without_source(self):
+        # No source text: no context window, so both keys hash the same material.
+        fingerprint = fingerprint_candidate(
+            self._candidate(is_field=True, param_index=0), None
+        )
+        assert fingerprint.primary == fingerprint.location == "4a79ca247034b726e8696b83f15e2de5"
+
+    def test_report_digests(self):
+        source = self.SOURCE + "    v = 1;   /* set */\n"
+        mapping = fingerprint_findings(
+            [Finding(self._candidate(6)), Finding(self._candidate(5))], {"t.c": source}
+        )
+        assert {key: fp.as_dict() for key, fp in mapping.items()} == {
+            "t.c:f:v:5:dead_store": {
+                "primary": "5ff19cd67b1ca37b0ffbf818de436d7d",
+                "location": "0c21ad2a3886155fc4bff472d5d1380a",
+            },
+            "t.c:f:v:6:dead_store": {
+                "primary": "68b070b71ed3dbe50d46e915486aade6",
+                "location": "4a0f5bb0a6e6b9e1c6f6b04db668bf4b",
+            },
+        }
